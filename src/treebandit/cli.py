@@ -25,9 +25,9 @@ from treebandit.harness import (
     HarnessError,
     load_config_file,
     load_scenario,
+    policy_label,
     run_experiment,
     scenario_names,
-    validate_config_dict,
     write_outputs,
 )
 from treebandit.policy import NumericalError, PolicyError
@@ -96,7 +96,7 @@ def apply_overrides(raw: dict, args) -> dict:
         raw["master_seed"] = args.master_seed
     if args.policy is not None:
         keep = [p for p in raw.get("policies", [])
-                if isinstance(p, dict) and str(p.get("label", p.get("name"))) == args.policy]
+                if isinstance(p, dict) and policy_label(p) == args.policy]
         if not keep:
             raise ConfigError([f"--policy: no policy labelled {args.policy!r} in the config"])
         raw["policies"] = keep
@@ -115,15 +115,10 @@ def _cmd_scenarios() -> int:
 
 
 def _cmd_validate(args) -> int:
-    raw = apply_overrides(resolve_raw_config(args), args)
-    errors = validate_config_dict(raw)
-    if errors:
-        for msg in errors:
-            print(f"error: {msg}", file=sys.stderr)
-        return 1
-    print(f"config OK: scenario {raw['scenario']!r}, "
-          f"{len(raw['policies'])} policies, horizons {raw['horizons']}, "
-          f"{raw.get('seeds', 20)} seeds")
+    config = ExperimentConfig.from_dict(apply_overrides(resolve_raw_config(args), args))
+    print(f"config OK: scenario {config.scenario!r}, "
+          f"{len(config.policies)} policies, horizons {config.horizons}, "
+          f"{config.seeds} seeds")
     return 0
 
 

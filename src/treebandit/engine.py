@@ -184,8 +184,9 @@ class Simulation:
 
     def _draw_costs(self, t: int) -> np.ndarray:
         costs = self.env.costs(t, self.env_rng)
-        if costs.min() < 0.0 or costs.max() > 1.0:
-            raise EngineError(f"environment produced costs outside [0,1] at round {t}")
+        # written so that a NaN, which fails every comparison, fails the check
+        if not (costs.min() >= 0.0 and costs.max() <= 1.0):
+            raise EngineError(f"environment produced costs outside [0,1] or NaN at round {t}")
         return costs
 
     def _expected_costs(self, t: int) -> np.ndarray:

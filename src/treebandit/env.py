@@ -137,12 +137,6 @@ class LowerBoundChainEnv(CostEnvironment):
         return self.means
 
 
-def make_lower_bound_env(
-    depth: int, delta: float, best_last_leaf: bool = False
-) -> LowerBoundChainEnv:
-    return LowerBoundChainEnv(depth, delta, best_last_leaf)
-
-
 @dataclass(frozen=True)
 class RateSchedule:
     """Exponential-delay rate, affine in the round index.
@@ -325,8 +319,9 @@ def make_multihop_env(
 class CsvMatrixEnv(CostEnvironment):
     """Replay environment: one row of per-leaf costs per round from a CSV.
 
-    Header names the leaf node ids; row t (1-based) is the cost vector of
-    round t. Costs are deterministic, so expected_costs equals costs.
+    Header names the leaf node ids, which must be the topology's leaves in
+    order; row t (1-based) is the cost vector of round t. Costs are
+    deterministic, so expected_costs equals costs.
     """
 
     def __init__(self, path: str) -> None:
@@ -346,8 +341,9 @@ class CsvMatrixEnv(CostEnvironment):
         if not rows:
             raise EnvError(f"{path}: no cost rows")
         self._matrix = np.asarray(rows, dtype=np.float64)
-        if np.any(self._matrix < 0.0) or np.any(self._matrix > 1.0):
-            raise EnvError(f"{path}: costs must lie in [0,1]")
+        # a NaN fails both comparisons, so it is rejected with the range
+        if not np.all((self._matrix >= 0.0) & (self._matrix <= 1.0)):
+            raise EnvError(f"{path}: costs must be finite and lie in [0,1]")
         self.n_leaves = self._matrix.shape[1]
         self.n_rounds = self._matrix.shape[0]
 

@@ -17,7 +17,7 @@ import importlib.resources
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -27,8 +27,8 @@ from treebandit.env import (
     BernoulliTreeEnv,
     CostEnvironment,
     CsvMatrixEnv,
+    LowerBoundChainEnv,
     bernoulli_tree_means,
-    make_lower_bound_env,
     make_mec_env,
     make_multihop_env,
 )
@@ -48,10 +48,9 @@ from treebandit.policy import (
     eg_default_eta,
     exp_decay_forward_prob,
 )
-from treebandit.topology import TopologyError, TreeTopology, build_chain_tree, build_uniform_tree
+from treebandit.topology import TreeTopology, build_chain_tree, build_uniform_tree
 
 DEFAULT_MASTER_SEED = 20240517
-DEFAULT_ETA_SCALE = 10.0
 
 POLICY_NAMES = (
     "eps_exp3",
@@ -89,32 +88,38 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A checked config. ``topology``, ``env`` and each ``policies`` entry
+    stay raw mappings that ``build_*`` read again for every run; ``trace``
+    is the resolved ``TraceRecorder`` arguments."""
+
     scenario: str
     topology: dict
     env: dict
     policies: list[dict]
     horizons: list[int]
-    seeds: int = 20
-    master_seed: int = DEFAULT_MASTER_SEED
-    trace: dict | None = None
-    description: str = ""
+    seeds: int
+    master_seed: int
+    trace: dict | None
+    description: str
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        errors = validate_config_dict(raw)
-        if errors:
-            raise ConfigError(errors)
-        return ExperimentConfig(
-            scenario=str(raw["scenario"]),
-            topology=dict(raw["topology"]),
-            env=dict(raw["env"]),
-            policies=[dict(p) for p in raw["policies"]],
-            horizons=[int(t) for t in raw["horizons"]],
-            seeds=int(raw.get("seeds", 20)),
-            master_seed=int(raw.get("master_seed", DEFAULT_MASTER_SEED)),
-            trace=dict(raw["trace"]) if raw.get("trace") else None,
-            description=str(raw.get("description", "")),
-        )
+        return _strict(_read_config, raw)
+
+
+# --------------------------------------------------------------------------
+# config readers
+#
+# One reader per mapping: the top level, topology, env, each policy entry
+# and trace. A reader asks for every key once, through ``_Reader.get``,
+# which holds the key's check and default; the reader then hands the value
+# to the constructor. ``validate_config_dict`` collects what the readers
+# report and ``build_*`` raise it as ConfigError. A reader builds only once
+# its own keys read cleanly and it has a topology and a horizon: validation
+# builds everything at the largest horizon, so a constructor's own
+# rejection is reported up front, against the mapping it came from.
+
+_REQUIRED = object()
 
 
 def _is_int(x) -> bool:
@@ -122,217 +127,362 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    return (_is_int(x) or isinstance(x, float)) and math.isfinite(float(x))
+    """A finite number, or a string that float() reads as one (PyYAML leaves 1e-3 a string)."""
+    if isinstance(x, str):
+        try:
+            x = float(x)
+        except ValueError:
+            return False
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
-def build_topology(spec: dict) -> TreeTopology:
-    kind = spec.get("kind")
-    if kind == "uniform":
-        return build_uniform_tree(int(spec["fanout"]), int(spec["depth"]))
-    if kind == "chain":
-        return build_chain_tree(int(spec["depth"]))
-    raise ConfigError([f"topology.kind must be 'uniform' or 'chain', got {kind!r}"])
+def _positive(x) -> bool:
+    return _is_num(x) and float(x) > 0
 
 
-def _validate_topology(spec, errors: list[str]) -> TreeTopology | None:
-    if not isinstance(spec, dict):
-        errors.append("topology: must be a mapping")
+def _unit(x) -> bool:
+    return _is_num(x) and 0.0 <= float(x) <= 1.0
+
+
+def _pair(check):
+    return lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(check, x))
+
+
+def _floats(x) -> tuple[float, ...]:
+    return tuple(map(float, x))
+
+
+class _Reader:
+    """One config mapping, read key by key; every problem goes to ``errors``
+    as ``<where>.<key>: <message>``."""
+
+    def __init__(self, raw, where: str, errors: list[str]) -> None:
+        self.where = where
+        self.errors = errors
+        self._start = len(errors)
+        self._read: set = set()
+        if not isinstance(raw, dict):
+            errors.append(f"{where}: must be a mapping")
+            raw = {}
+        self.raw = raw
+
+    @property
+    def ok(self) -> bool:
+        """True while nothing has been reported since this reader started."""
+        return len(self.errors) == self._start
+
+    def fail(self, key, message: str) -> None:
+        self.errors.append(f"{self.where}.{key}: {message}" if self.where else f"{key}: {message}")
+
+    def get(self, key: str, check=None, need: str = "", default=_REQUIRED):
+        """``raw[key]`` if ``check`` is None or accepts it; ``default`` if the
+        key is absent. A rejected value, or a missing key without a default,
+        is reported and yields the default (None if there is none)."""
+        self._read.add(key)
+        if key in self.raw:
+            value = self.raw[key]
+            if check is None or check(value):
+                return value
+            self.fail(key, f"{need}, got {value!r}")
+        elif default is _REQUIRED:
+            self.fail(key, f"{need}, got nothing")
+        return None if default is _REQUIRED else default
+
+    def given(self, out: dict, key: str, check, need: str, convert) -> None:
+        """Put ``convert(raw[key])`` into ``out`` if the key is set; a key
+        left out takes the constructor's own default."""
+        value = self.get(key, check, need, None)
+        if value is not None:
+            out[key] = convert(value)
+
+    def finish(self) -> None:
+        for key in self.raw:
+            if key not in self._read:
+                self.fail(key, "unknown key")
+
+
+def _strict(read, *args):
+    """Run a reader and raise everything it reported as one ConfigError."""
+    errors: list[str] = []
+    value = read(errors, *args)
+    if errors:
+        raise ConfigError(errors)
+    return value
+
+
+def _collect(errors: list[str], where: str, read, *args):
+    """Run a reader during validation; a constructor's own rejection of the
+    values it was handed becomes an error against ``where``."""
+    try:
+        return read(errors, *args)
+    except (ValueError, OSError) as exc:
+        errors.append(f"{where}: {exc}")
         return None
-    kind = spec.get("kind")
-    if kind == "uniform":
-        fanout, depth = spec.get("fanout"), spec.get("depth")
-        if not _is_int(fanout) or fanout < 2:
-            errors.append(f"topology.fanout: need an integer >= 2, got {fanout!r}")
-        if not _is_int(depth) or depth < 1:
-            errors.append(f"topology.depth: need an integer >= 1, got {depth!r}")
-        if errors:
-            return None
-        return build_uniform_tree(fanout, depth)
-    if kind == "chain":
-        depth = spec.get("depth")
-        if not _is_int(depth) or depth < 2:
-            errors.append(f"topology.depth: need an integer >= 2 for a chain, got {depth!r}")
-            return None
-        return build_chain_tree(depth)
-    errors.append(f"topology.kind: must be 'uniform' or 'chain', got {kind!r}")
-    return None
 
 
-def _validate_env(spec, topology: TreeTopology | None, errors: list[str]) -> None:
-    if not isinstance(spec, dict):
-        errors.append("env: must be a mapping")
-        return
-    kind = spec.get("kind")
-    if kind not in ENV_KINDS:
-        errors.append(f"env.kind: must be one of {ENV_KINDS}, got {kind!r}")
-        return
-    if kind == "bernoulli_tree":
-        has_pmin = "p_min" in spec
-        has_means = "means" in spec
-        if has_pmin == has_means:
-            errors.append("env: give exactly one of p_min or means")
-        if has_pmin and not (_is_num(spec["p_min"]) and 0.0 <= spec["p_min"] <= 1.0):
-            errors.append(f"env.p_min: must be in [0,1], got {spec['p_min']!r}")
-        if has_means:
-            means = spec["means"]
-            if not isinstance(means, list) or not all(
-                _is_num(m) and 0.0 <= m <= 1.0 for m in means
-            ):
-                errors.append("env.means: must be a list of numbers in [0,1]")
-            elif topology is not None and len(means) != len(topology.leaves):
-                errors.append(
-                    f"env.means: {len(means)} entries for {len(topology.leaves)} leaves"
-                )
-        if "shift_fraction" in spec and spec["shift_fraction"] is not None:
-            frac = spec["shift_fraction"]
-            if not (_is_num(frac) and 0.0 < frac <= 1.0):
-                errors.append(f"env.shift_fraction: must be in (0,1], got {frac!r}")
-        if "shift_round" in spec and spec["shift_round"] is not None:
-            if not (_is_int(spec["shift_round"]) and spec["shift_round"] >= 1):
-                errors.append(f"env.shift_round: must be an integer >= 1, got {spec['shift_round']!r}")
-        if "shift_leaf" in spec and spec["shift_leaf"] is not None:
-            leaf = spec["shift_leaf"]
-            if topology is not None and (
-                not _is_int(leaf) or leaf not in topology.leaves
-            ):
-                errors.append(f"env.shift_leaf: {leaf!r} is not a leaf of the topology")
-    elif kind == "lower_bound_chain":
-        if topology is not None:
-            if len(topology.leaves) != topology.depth + 1:
-                errors.append("env.lower_bound_chain: needs a chain topology")
-            delta = spec.get("delta")
-            if delta is not None and not (
-                _is_num(delta) and 0.0 < delta < 2.0 ** -topology.depth
-            ):
-                errors.append(
-                    f"env.delta: must satisfy 0 < delta < 2**-{topology.depth}, got {delta!r}"
-                )
-    elif kind == "deadline_mec":
-        if topology is not None and topology.depth != 2:
-            errors.append("env.deadline_mec: needs topology.depth == 2")
-    elif kind == "csv":
-        path = spec.get("path")
-        if not isinstance(path, str) or not path:
-            errors.append("env.path: must name the cost matrix CSV file")
-        elif not os.path.exists(path):
-            errors.append(f"env.path: file not found: {path}")
-
-
-def _env_has_shift(env_spec: dict) -> bool:
-    if env_spec.get("kind") != "bernoulli_tree":
-        return False
-    return bool(env_spec.get("shift_fraction") or env_spec.get("shift_round"))
-
-
-def _validate_policies(policies, env_spec, topology, errors: list[str]) -> None:
-    if not isinstance(policies, list) or not policies:
-        errors.append("policies: must be a non-empty list")
-        return
+def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
+    if not isinstance(raw, dict):
+        errors.append("config: top level must be a mapping")
+        return None
+    r = _Reader(raw, "", errors)
+    scenario = r.get("scenario", lambda v: isinstance(v, str) and v != "",
+                     "must be a non-empty string")
+    description = r.get("description", default="")
+    horizons = r.get(
+        "horizons",
+        lambda v: isinstance(v, list) and v != [] and all(_is_int(t) and t >= 1 for t in v)
+        and len(set(v)) == len(v),
+        "must be a non-empty list of distinct integers >= 1",
+    )
+    seeds = r.get("seeds", lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 20)
+    master_seed = r.get("master_seed", lambda v: _is_int(v) and v >= 0,
+                        "must be a non-negative integer", DEFAULT_MASTER_SEED)
+    T = max(horizons) if horizons else None
+    topology_spec = r.get("topology", default={})
+    topology = _collect(errors, "topology", _read_topology, topology_spec)
+    env_spec = r.get("env", default={})
+    env = _collect(errors, "env", _read_env, env_spec, topology, T)
+    # exp3's shift_matched eta reads the env, so policies are built only on a good one
+    policy_T = T if env is not None else None
+    policies = r.get("policies", lambda v: isinstance(v, list) and v != [],
+                     "must be a non-empty list", [])
     labels: set[str] = set()
     for k, entry in enumerate(policies):
         where = f"policies[{k}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be a mapping")
-            continue
-        name = entry.get("name")
-        if name not in POLICY_NAMES:
-            errors.append(f"{where}.name: must be one of {POLICY_NAMES}, got {name!r}")
-            continue
-        label = str(entry.get("label", name))
-        if label in labels:
-            errors.append(f"{where}.label: duplicate policy label {label!r}")
-        labels.add(label)
-        if name == "stationary":
-            leaf = entry.get("leaf")
-            if topology is not None and (not _is_int(leaf) or leaf not in topology.leaves):
-                errors.append(f"{where}.leaf: {leaf!r} is not a leaf of the topology")
-        if name == "oracle_chain":
-            if topology is not None and any(
-                len(topology.children[n]) != 2 for n in topology.non_leaves
-            ):
-                errors.append(f"{where}: oracle_chain needs binary non-leaf nodes")
-            profile = entry.get("profile", "constant")
-            if profile not in ("constant", "exp_decay"):
-                errors.append(
-                    f"{where}.profile: must be 'constant' or 'exp_decay', got {profile!r}"
-                )
-            q = entry.get("q", "horizon_tuned")
-            if q != "horizon_tuned" and not (_is_num(q) and q > 0):
-                errors.append(f"{where}.q: must be 'horizon_tuned' or a positive number")
-        if name == "exp3":
-            eta = entry.get("eta", "classic")
-            if eta == "shift_matched" and isinstance(env_spec, dict) and not _env_has_shift(env_spec):
-                errors.append(
-                    f"{where}.eta: shift_matched needs an environment with a cost shift"
-                )
-            if eta not in ("classic", "shift_matched") and not (_is_num(eta) and eta > 0):
-                errors.append(f"{where}.eta: must be 'classic', 'shift_matched' or > 0")
-            gamma = entry.get("gamma", "classic")
-            if gamma != "classic" and not (_is_num(gamma) and 0.0 <= gamma <= 1.0):
-                errors.append(f"{where}.gamma: must be 'classic' or in [0,1]")
-        for key in ("eta", "epsilon"):
-            if name in ("eps_exp3", "normalized_eg") and key in entry:
-                val = entry[key]
-                if val != "horizon_tuned" and not (_is_num(val) and val >= 0):
-                    errors.append(f"{where}.{key}: must be 'horizon_tuned' or a number >= 0")
+        _collect(errors, where, _read_policy, entry, where, topology, policy_T, env_spec)
+        if isinstance(entry, dict):
+            label = policy_label(entry)
+            if label in labels:
+                errors.append(f"{where}.label: duplicate policy label {label!r}")
+            labels.add(label)
+    trace = _collect(errors, "trace", _read_trace, r.get("trace", default=None), topology)
+    r.finish()
+    if not r.ok:
+        return None
+    return ExperimentConfig(
+        scenario=scenario,
+        topology=dict(topology_spec),
+        env=dict(env_spec),
+        policies=[dict(p) for p in policies],
+        horizons=list(horizons),
+        seeds=seeds,
+        master_seed=master_seed,
+        trace=trace,
+        description=str(description),
+    )
 
 
-def _validate_trace(trace, topology: TreeTopology | None, errors: list[str]) -> None:
-    if trace is None:
-        return
-    if not isinstance(trace, dict):
-        errors.append("trace: must be a mapping")
-        return
-    window = trace.get("window", 1000)
-    if not _is_int(window) or window < 1:
-        errors.append(f"trace.window: must be an integer >= 1, got {window!r}")
-    watched = trace.get("watched")
-    if not isinstance(watched, list) or not watched:
-        errors.append("trace.watched: must be a non-empty list of [node, child] pairs")
-        return
+def _read_topology(errors: list[str], spec) -> TreeTopology | None:
+    r = _Reader(spec, "topology", errors)
+    kind = r.get("kind", lambda v: v in ("uniform", "chain"), "must be 'uniform' or 'chain'")
+    if kind is None:
+        return None
+    if kind == "uniform":
+        fanout = r.get("fanout", lambda v: _is_int(v) and v >= 2, "must be an integer >= 2")
+        depth = r.get("depth", lambda v: _is_int(v) and v >= 1, "must be an integer >= 1")
+    else:
+        depth = r.get("depth", lambda v: _is_int(v) and v >= 2,
+                      "must be an integer >= 2 for a chain")
+    r.finish()
+    if not r.ok:
+        return None
+    return build_uniform_tree(fanout, depth) if kind == "uniform" else build_chain_tree(depth)
+
+
+def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | None):
+    r = _Reader(spec, "env", errors)
+    kind = r.get("kind", lambda v: v in ENV_KINDS, f"must be one of {ENV_KINDS}")
+    if kind is None:
+        return None
+    leaves = topology.leaves if topology is not None else None
+    if kind == "bernoulli_tree":
+        p_min = r.get("p_min", _unit, "must be in [0,1]", None)
+        means = r.get("means", lambda v: isinstance(v, list) and all(map(_unit, v)),
+                      "must be a list of numbers in [0,1]", None)
+        # resolve_shift_round reads these two for the constructor
+        r.get("shift_fraction", lambda v: v is None or (_unit(v) and float(v) > 0),
+              "must be in (0,1]", None)
+        r.get("shift_round", lambda v: v is None or (_is_int(v) and v >= 1),
+              "must be an integer >= 1", None)
+        shift_leaf = r.get(
+            "shift_leaf", lambda v: v is None or leaves is None or (_is_int(v) and v in leaves),
+            "must be a leaf of the topology", None,
+        )
+        if r.ok and (p_min is None) == (means is None):
+            errors.append("env: give exactly one of p_min or means")
+        if means is not None and leaves is not None and len(means) != len(leaves):
+            r.fail("means", f"{len(means)} entries for {len(leaves)} leaves")
+
+        def make():
+            return BernoulliTreeEnv(
+                [float(m) for m in means] if means is not None
+                else bernoulli_tree_means(len(leaves), float(p_min)),
+                shift_round=resolve_shift_round(spec, T),
+                shift_leaf=None if shift_leaf is None else topology.leaf_index(shift_leaf),
+            )
+    elif kind == "lower_bound_chain":
+        if topology is not None and len(leaves) != topology.depth + 1:
+            r.fail("kind", "lower_bound_chain needs a chain topology")
+        limit = 2.0 ** -topology.depth if topology is not None else math.inf
+        delta = r.get("delta", lambda v: v is None or (_is_num(v) and 0.0 < float(v) < limit),
+                      f"must satisfy 0 < delta < {limit}", None)
+        opts: dict = {}
+        r.given(opts, "best_last_leaf", lambda v: isinstance(v, bool), "must be true or false",
+                bool)
+
+        def make():
+            if delta is None:
+                return LowerBoundChainEnv(topology.depth, 2.0 ** -(topology.depth + 1), **opts)
+            return LowerBoundChainEnv(topology.depth, float(delta), **opts)
+    elif kind in ("deadline_mec", "deadline_multihop"):
+        if kind == "deadline_mec" and topology is not None and topology.depth != 2:
+            r.fail("kind", "deadline_mec needs topology.depth == 2")
+        opts = {}
+        r.given(opts, "constant_rate", _positive, "must be a number > 0", float)
+        r.given(opts, "ramp", _pair(_positive), "must be 2 numbers > 0", _floats)
+        r.given(opts, "deadline", _positive, "must be a number > 0", float)
+        if kind == "deadline_mec":
+            r.given(opts, "proc_range", _pair(_is_num), "must be 2 numbers", _floats)
+            r.given(opts, "miss_range", _pair(lambda v: _unit(v) and float(v) > 0),
+                    "must be 2 numbers in (0,1]", _floats)
+        build = make_mec_env if kind == "deadline_mec" else make_multihop_env
+
+        def make():
+            return build(topology, T, **opts)
+    else:  # csv
+        path = r.get("path", lambda v: isinstance(v, str) and v != "",
+                     "must name the cost matrix CSV file")
+        if path and not os.path.exists(path):
+            r.fail("path", f"file not found: {path}")
+
+        def make():
+            env = CsvMatrixEnv(path)
+            if tuple(env.leaf_ids) != leaves:
+                r.fail("path", f"header leaf ids {env.leaf_ids} must be the topology's "
+                               f"leaves in order, {list(leaves)}")
+            elif env.n_rounds < T:
+                r.fail("path", f"{env.n_rounds} cost rows, fewer than the horizon {T}")
+            return env
+    r.finish()
+    if not r.ok or topology is None or T is None:
+        return None
+    env = make()
+    return env if r.ok else None
+
+
+def _read_policy(
+    errors: list[str], entry, where: str, topology: TreeTopology | None, T: int | None, env_spec
+) -> dict[int, NodePolicy] | None:
+    r = _Reader(entry, where, errors)
+    name = r.get("name", lambda v: v in POLICY_NAMES, f"must be one of {POLICY_NAMES}")
+    if name is None:
+        return None
+    r.get("label", default=None)  # any value; policy_label() names the output rows
+    L = topology.depth if topology is not None else None
+    D = topology.max_fanout if topology is not None else None
+    if name == "eps_exp3":
+        eta = r.get("eta", lambda v: v == "horizon_tuned" or _positive(v),
+                    "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
+        eps = r.get("epsilon", lambda v: v == "horizon_tuned" or _unit(v),
+                    "must be 'horizon_tuned' or in [0,1]", "horizon_tuned")
+
+        def make(node, K):
+            params = default_params(T, L, D, topology.children_all_leaves(node))
+            return EpsilonExp3(
+                K,
+                eta=params.eta if eta == "horizon_tuned" else float(eta),
+                epsilon=params.epsilon if eps == "horizon_tuned" else float(eps),
+            )
+    elif name == "anytime_eps_exp3":
+        def make(node, K):
+            return AnytimeEpsilonExp3(
+                K, depth=L, max_fanout=D, children_all_leaves=topology.children_all_leaves(node)
+            )
+    elif name == "normalized_eg":
+        eta = r.get("eta", lambda v: v == "horizon_tuned" or _positive(v),
+                    "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
+
+        def make(node, K):
+            return NormalizedEG(
+                K, eta=eg_default_eta(K, T) if eta == "horizon_tuned" else float(eta)
+            )
+    elif name == "exp3":
+        gamma = r.get("gamma", lambda v: v == "classic" or _unit(v),
+                      "must be 'classic' or in [0,1]", "classic")
+        eta = r.get("eta", lambda v: v in ("classic", "shift_matched") or _positive(v),
+                    "must be 'classic', 'shift_matched' or a number > 0", "classic")
+        scale = r.get("eta_scale", _positive, "must be a number > 0", 10.0)
+        if eta == "shift_matched" and T is not None:
+            shift = resolve_shift_round(env_spec, T)
+            if shift is None:
+                r.fail("eta", "shift_matched needs an environment with a cost shift")
+            else:
+                eta = float(scale) / shift
+
+        def make(node, K):
+            g = classic_exp3_gamma(K, T) if gamma == "classic" else float(gamma)
+            return Exp3Baseline(K, eta=g / K if eta == "classic" else float(eta), gamma=g)
+    elif name == "uniform":
+        def make(node, K):
+            return UniformRandomPolicy(K)
+    elif name == "stationary":
+        leaf = r.get("leaf", lambda v: topology is None or (_is_int(v) and v in topology.leaves),
+                     "must be a leaf of the topology")
+        route: set[int] = set()
+        if r.ok and topology is not None:
+            cur = leaf
+            while cur != -1:
+                route.add(cur)
+                cur = topology.parent[cur]
+
+        def make(node, K):
+            # Nodes off the root-to-leaf route never receive the job, so
+            # their pinned child is arbitrary; position 0 keeps it valid.
+            return StationaryPolicy(K, topology.child_toward(node, leaf) if node in route else 0)
+    else:  # oracle_chain
+        if topology is not None and topology.max_fanout != 2:
+            r.fail("name", "oracle_chain needs binary non-leaf nodes")
+        profile = r.get("profile", lambda v: v in ("constant", "exp_decay"),
+                        "must be 'constant' or 'exp_decay'", "constant")
+        q_spec = r.get("q", lambda v: v == "horizon_tuned" or _positive(v),
+                       "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
+
+        def make(node, K):
+            q = T ** (-1.0 / L) if q_spec == "horizon_tuned" else float(q_spec)
+            fn = constant_forward_prob(q) if profile == "constant" else exp_decay_forward_prob(q)
+            return OraclePolicy(K, OracleParams(fn))
+    r.finish()
+    if not r.ok or topology is None or T is None:
+        return None
+    return {node: make(node, len(topology.children[node])) for node in topology.non_leaves}
+
+
+def _read_trace(errors: list[str], spec, topology: TreeTopology | None) -> dict | None:
+    if spec is None:
+        return None
+    r = _Reader(spec, "trace", errors)
+    window = r.get("window", lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 1000)
+    watched = r.get("watched", lambda v: isinstance(v, list) and v != [],
+                    "must be a non-empty list of [node, child] pairs", [])
     for pair in watched:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(p) for p in pair)):
-            errors.append(f"trace.watched: bad pair {pair!r}")
-            continue
-        node, child = pair
-        if topology is not None:
-            if node >= topology.node_count or topology.is_leaf(node):
-                errors.append(f"trace.watched: node {node} is not a non-leaf node")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            r.fail("watched", f"bad pair {pair!r}")
+        elif topology is not None:
+            node, child = pair
+            if not 0 <= node < topology.node_count or topology.is_leaf(node):
+                r.fail("watched", f"node {node} is not a non-leaf node")
             elif child not in topology.children[node]:
-                errors.append(f"trace.watched: ({node},{child}) is not an edge")
+                r.fail("watched", f"({node},{child}) is not an edge")
+    r.finish()
+    if not r.ok:
+        return None
+    return {"window": window, "watched": tuple((a, b) for a, b in watched)}
 
 
 def validate_config_dict(raw) -> list[str]:
     """Collect every problem with the config; an empty list means valid."""
     errors: list[str] = []
-    if not isinstance(raw, dict):
-        return ["config: top level must be a mapping"]
-    if not isinstance(raw.get("scenario"), str) or not raw.get("scenario"):
-        errors.append("scenario: must be a non-empty string")
-    topology: TreeTopology | None = None
-    try:
-        topology = _validate_topology(raw.get("topology"), errors)
-    except TopologyError as exc:
-        errors.append(f"topology: {exc}")
-    _validate_env(raw.get("env"), topology, errors)
-    _validate_policies(raw.get("policies"), raw.get("env"), topology, errors)
-    horizons = raw.get("horizons")
-    if not isinstance(horizons, list) or not horizons:
-        errors.append("horizons: must be a non-empty list of integers >= 1")
-    else:
-        for t in horizons:
-            if not _is_int(t) or t < 1:
-                errors.append(f"horizons: every value must be an integer >= 1, got {t!r}")
-                break
-        if len(set(horizons)) != len(horizons):
-            errors.append("horizons: values must be distinct")
-    seeds = raw.get("seeds", 20)
-    if not _is_int(seeds) or seeds < 1:
-        errors.append(f"seeds: must be an integer >= 1, got {seeds!r}")
-    master = raw.get("master_seed", DEFAULT_MASTER_SEED)
-    if not _is_int(master) or master < 0:
-        errors.append(f"master_seed: must be a non-negative integer, got {master!r}")
-    _validate_trace(raw.get("trace"), topology, errors)
+    _read_config(errors, raw)
     return errors
 
 
@@ -378,132 +528,24 @@ def resolve_shift_round(env_spec: dict, T: int) -> int | None:
     return None
 
 
+def build_topology(spec: dict) -> TreeTopology:
+    return _strict(_read_topology, spec)
+
+
 def build_env(env_spec: dict, topology: TreeTopology, T: int) -> CostEnvironment:
-    kind = env_spec["kind"]
-    if kind == "bernoulli_tree":
-        if "means" in env_spec:
-            means = [float(m) for m in env_spec["means"]]
-        else:
-            means = bernoulli_tree_means(len(topology.leaves), float(env_spec["p_min"]))
-        return BernoulliTreeEnv(
-            means,
-            shift_round=resolve_shift_round(env_spec, T),
-            shift_leaf=(
-                topology.leaf_index(int(env_spec["shift_leaf"]))
-                if env_spec.get("shift_leaf") is not None
-                else None
-            ),
-        )
-    if kind == "lower_bound_chain":
-        delta = env_spec.get("delta")
-        if delta is None:
-            delta = 2.0 ** -(topology.depth + 1)
-        return make_lower_bound_env(
-            topology.depth, float(delta), bool(env_spec.get("best_last_leaf", False))
-        )
-    if kind == "deadline_mec":
-        return make_mec_env(
-            topology,
-            T,
-            constant_rate=float(env_spec.get("constant_rate", 8.0)),
-            ramp=tuple(env_spec.get("ramp", (2.0, 200.0))),
-            proc_range=tuple(env_spec.get("proc_range", (0.5, 0.2))),
-            miss_range=tuple(env_spec.get("miss_range", (0.005, 0.10))),
-            deadline=float(env_spec.get("deadline", 1.0)),
-        )
-    if kind == "deadline_multihop":
-        return make_multihop_env(
-            topology,
-            T,
-            constant_rate=float(env_spec.get("constant_rate", 8.0)),
-            ramp=tuple(env_spec.get("ramp", (2.0, 200.0))),
-            deadline=float(env_spec.get("deadline", 1.0)),
-        )
-    if kind == "csv":
-        return CsvMatrixEnv(env_spec["path"])
-    raise ConfigError([f"env.kind: unknown kind {kind!r}"])
-
-
-def policy_feedback(entry: dict) -> FeedbackModel:
-    explicit = entry.get("feedback")
-    if explicit == "one_hop":
-        return FeedbackModel.COMPLETE_ONE_HOP
-    if explicit == "bandit":
-        return FeedbackModel.END_TO_END_BANDIT
-    if entry["name"] == "normalized_eg":
-        return FeedbackModel.COMPLETE_ONE_HOP
-    return FeedbackModel.END_TO_END_BANDIT
+    return _strict(_read_env, env_spec, topology, T)
 
 
 def build_policies(
     entry: dict, topology: TreeTopology, T: int, env_spec: dict
 ) -> dict[int, NodePolicy]:
     """Instantiate one policy object per non-leaf node for one seeded run."""
-    name = entry["name"]
-    L = topology.depth
-    D = topology.max_fanout
-    route: set[int] = set()
-    if name == "stationary":
-        cur = int(entry["leaf"])
-        while cur != -1:
-            route.add(cur)
-            cur = topology.parent[cur]
-    out: dict[int, NodePolicy] = {}
-    for node in topology.non_leaves:
-        K = len(topology.children[node])
-        leaves_only = topology.children_all_leaves(node)
-        if name == "eps_exp3":
-            params = default_params(T, L, D, leaves_only)
-            eta = entry.get("eta", "horizon_tuned")
-            eps = entry.get("epsilon", "horizon_tuned")
-            out[node] = EpsilonExp3(
-                K,
-                eta=params.eta if eta == "horizon_tuned" else float(eta),
-                epsilon=params.epsilon if eps == "horizon_tuned" else float(eps),
-            )
-        elif name == "anytime_eps_exp3":
-            out[node] = AnytimeEpsilonExp3(
-                K, depth=L, max_fanout=D, children_all_leaves=leaves_only
-            )
-        elif name == "normalized_eg":
-            eta = entry.get("eta", "horizon_tuned")
-            out[node] = NormalizedEG(
-                K, eta=eg_default_eta(K, T) if eta == "horizon_tuned" else float(eta)
-            )
-        elif name == "exp3":
-            gamma_spec = entry.get("gamma", "classic")
-            gamma = classic_exp3_gamma(K, T) if gamma_spec == "classic" else float(gamma_spec)
-            eta_spec = entry.get("eta", "classic")
-            if eta_spec == "classic":
-                eta = gamma / K
-            elif eta_spec == "shift_matched":
-                shift = resolve_shift_round(env_spec, T)
-                if shift is None:
-                    raise ConfigError(
-                        ["policies: exp3 eta shift_matched needs an env cost shift"]
-                    )
-                eta = float(entry.get("eta_scale", DEFAULT_ETA_SCALE)) / shift
-            else:
-                eta = float(eta_spec)
-            out[node] = Exp3Baseline(K, eta=eta, gamma=gamma)
-        elif name == "uniform":
-            out[node] = UniformRandomPolicy(K)
-        elif name == "stationary":
-            # Nodes off the root-to-leaf route never receive the job, so
-            # their pinned child is arbitrary; position 0 keeps it valid.
-            leaf = int(entry["leaf"])
-            pinned = topology.child_toward(node, leaf) if node in route else 0
-            out[node] = StationaryPolicy(K, pinned)
-        elif name == "oracle_chain":
-            q_spec = entry.get("q", "horizon_tuned")
-            q = T ** (-1.0 / L) if q_spec == "horizon_tuned" else float(q_spec)
-            profile = entry.get("profile", "constant")
-            fn = constant_forward_prob(q) if profile == "constant" else exp_decay_forward_prob(q)
-            out[node] = OraclePolicy(K, OracleParams(fn))
-        else:
-            raise ConfigError([f"policies: unknown policy name {name!r}"])
-    return out
+    return _strict(_read_policy, entry, "policy", topology, T, env_spec)
 
+
+def policy_label(entry: dict) -> str:
+    """The name a policy entry's rows carry in the outputs."""
+    return str(entry.get("label", entry.get("name")))
 
 # --------------------------------------------------------------------------
 # experiment runner
@@ -545,11 +587,7 @@ class ExperimentResults:
 
     def regret_by_T(self, policy: str) -> dict[int, float]:
         """Mean TOTAL regret per horizon for one policy label."""
-        return {
-            row.T: row.mean_time_avg_regret * row.T
-            for row in self.aggregates
-            if row.policy == policy
-        }
+        return {T: ta * T for T, ta in self.time_avg_by_T(policy).items()}
 
     def time_avg_by_T(self, policy: str) -> dict[int, float]:
         return {
@@ -570,21 +608,21 @@ def run_one(
     topology = build_topology(config.topology)
     env = build_env(config.env, topology, T)
     policies = build_policies(policy_entry, topology, T, config.env)
+    # normalized_eg learns from every child's cost (one-hop feedback); every
+    # other policy learns from the end-to-end cost alone
+    one_hop = isinstance(policies[0], NormalizedEG)
     sim = Simulation(
         topology,
         policies,
         env,
-        policy_feedback(policy_entry),
+        FeedbackModel.COMPLETE_ONE_HOP if one_hop else FeedbackModel.END_TO_END_BANDIT,
         entropy=(config.master_seed, T, seed),
     )
     trace = None
     if with_trace and config.trace is not None:
-        trace = TraceRecorder(
-            window=int(config.trace.get("window", 1000)),
-            watched=tuple((int(a), int(b)) for a, b in config.trace["watched"]),
-        )
+        trace = TraceRecorder(**config.trace)
     ledger = sim.run(T, trace=trace)
-    label = str(policy_entry.get("label", policy_entry["name"]))
+    label = policy_label(policy_entry)
     row = SeedResult(
         scenario=config.scenario,
         policy=label,
@@ -612,7 +650,7 @@ def run_experiment(
     L = topology.depth
     results = ExperimentResults(config)
     for entry in config.policies:
-        label = str(entry.get("label", entry["name"]))
+        label = policy_label(entry)
         for T in sorted(config.horizons):
             t0 = time.perf_counter()
             ta_values = []
@@ -705,26 +743,15 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# The row dataclasses' fields are the columns, in order.
+
+
 def write_results_csv(path: str, aggregates: list[AggregateResult]) -> None:
-    _write_csv(
-        path,
-        ["scenario", "policy", "D", "L", "T", "seed_count", "mean_time_avg_regret", "stddev"],
-        [
-            (r.scenario, r.policy, r.D, r.L, r.T, r.seed_count, r.mean_time_avg_regret, r.stddev)
-            for r in aggregates
-        ],
-    )
+    _write_csv(path, [f.name for f in fields(AggregateResult)], map(astuple, aggregates))
 
 
 def write_per_seed_csv(path: str, rows: list[SeedResult]) -> None:
-    _write_csv(
-        path,
-        ["scenario", "policy", "T", "seed", "cumulative_cost", "optimal_stationary_cost", "regret"],
-        [
-            (r.scenario, r.policy, r.T, r.seed, r.cumulative_cost, r.optimal_stationary_cost, r.regret)
-            for r in rows
-        ],
-    )
+    _write_csv(path, [f.name for f in fields(SeedResult)], map(astuple, rows))
 
 
 def write_trace_csv(path: str, rows) -> None:

@@ -131,9 +131,6 @@ class NodePolicy:
     def start_segment(self, m: int) -> None:
         pass
 
-    def reset(self) -> None:
-        pass
-
 
 def _check_cost(cost: float) -> None:
     if not 0.0 <= cost <= 1.0:
@@ -169,10 +166,6 @@ class NormalizedEG(NodePolicy):
             theta[j] -= y
         self._dist = None
 
-    def reset(self) -> None:
-        self.theta = [0.0] * self.n_children
-        self._dist = None
-
 
 class EpsilonExp3(NodePolicy):
     """Epsilon-mixed EXP3 under end-to-end bandit feedback.
@@ -187,15 +180,8 @@ class EpsilonExp3(NodePolicy):
 
     def __init__(self, n_children: int, eta: float, epsilon: float) -> None:
         super().__init__(n_children)
-        if eta <= 0.0:
-            raise PolicyError(f"eta must be positive, got {eta}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise PolicyError(f"epsilon must lie in [0,1], got {epsilon}")
-        self.eta = eta
-        self.epsilon = epsilon
         self.theta = [0.0] * n_children
-        self._soft: list[float] | None = None
-        self._dist: list[float] | None = None
+        self.set_params(eta, epsilon)
 
     def exploit_probs(self) -> list[float]:
         if self._soft is None:
@@ -268,13 +254,6 @@ def anytime_segment(t: int) -> tuple[int, bool]:
     return m, t == (1 << m)
 
 
-def anytime_wrap(param_rule: Callable[[int], PolicyParams], t: int) -> tuple[PolicyParams, bool]:
-    """Parameters for round t under the doubling trick: param_rule(2^m) and
-    whether this round starts a fresh segment."""
-    m, boundary = anytime_segment(t)
-    return param_rule(1 << m), boundary
-
-
 class AnytimeEpsilonExp3(EpsilonExp3):
     """Doubling-trick wrapper: runs the fixed-horizon policy on segments of
     length 1, 2, 4, ... with parameters re-derived for each segment length.
@@ -336,10 +315,6 @@ class Exp3Baseline(NodePolicy):
                 f"choice probability underflowed ({p!r}) for child {draw.child}"
             )
         self.theta[draw.child] -= cost / p
-        self._dist = None
-
-    def reset(self) -> None:
-        self.theta = [0.0] * self.n_children
         self._dist = None
 
 
@@ -408,20 +383,6 @@ def exp_decay_forward_prob(q: float) -> Callable[[float], float]:
     """P(gap) = min(1, q) * exp(-gap): decays with the cost gap."""
     base = min(1.0, q)
     return lambda gap: base * math.exp(-gap)
-
-
-def oracle_select(params: OracleParams, expected_child_costs, rng) -> int:
-    """Forward to the higher-expected-cost child with probability
-    P(|gap|), else the lower; exact ties split evenly."""
-    e0, e1 = expected_child_costs
-    if e0 == e1:
-        return 0 if rng.random() < 0.5 else 1
-    gap = abs(e1 - e0)
-    p_high = params.forward_prob_fn(gap)
-    if not 0.0 <= p_high <= 1.0:
-        raise PolicyError(f"forward probability {p_high} outside [0,1]")
-    high = 1 if e1 > e0 else 0
-    return high if rng.random() < p_high else 1 - high
 
 
 class OraclePolicy(NodePolicy):

@@ -78,11 +78,6 @@ class TreeTopology:
     def max_fanout(self) -> int:
         return max(len(kids) for kids in self.children if kids)
 
-    @property
-    def is_uniform_depth(self) -> bool:
-        """True when every leaf sits at the same hop distance from the root."""
-        return all(self.depth_of[l] == self.depth for l in self.leaves)
-
     def is_leaf(self, node: int) -> bool:
         self._check(node)
         return not self.children[node]
@@ -92,11 +87,6 @@ class TreeTopology:
         return bool(self.children[node]) and all(
             not self.children[j] for j in self.children[node]
         )
-
-    def hops_from_root(self, node: int) -> int:
-        """Path length from the root to ``node``."""
-        self._check(node)
-        return self.depth_of[node]
 
     def leaf_index(self, leaf: int) -> int:
         """Position of ``leaf`` in the sorted leaf list (cost-vector index)."""
@@ -124,25 +114,17 @@ class TreeTopology:
 def build_uniform_tree(fanout: int, depth: int) -> TreeTopology:
     """Complete tree where every non-leaf has ``fanout`` children.
 
-    Ids are assigned breadth-first (root 0, then level by level), so the
+    Ids are assigned breadth-first (root 0, then level by level), so node
+    ``i``'s children are ``fanout*i + 1 .. fanout*i + fanout`` and the
     leaves are the last ``fanout**depth`` ids.
     """
     if fanout < 2:
         raise TopologyError(f"fanout must be at least 2, got {fanout}")
     if depth < 1:
         raise TopologyError(f"depth must be at least 1, got {depth}")
-    level_start = [0]
-    for lvl in range(1, depth + 1):
-        level_start.append(level_start[-1] + fanout ** (lvl - 1))
-    n = level_start[-1] + fanout**depth
-    children: list[tuple[int, ...]] = []
-    for lvl in range(depth):
-        width = fanout**lvl
-        for offset in range(width):
-            base = level_start[lvl + 1] + offset * fanout
-            children.append(tuple(range(base, base + fanout)))
+    non_leaves = (fanout**depth - 1) // (fanout - 1)
+    children = [tuple(range(fanout * i + 1, fanout * i + fanout + 1)) for i in range(non_leaves)]
     children.extend(() for _ in range(fanout**depth))
-    assert len(children) == n
     return TreeTopology(tuple(children))
 
 
@@ -162,40 +144,3 @@ def build_chain_tree(depth: int) -> TreeTopology:
     children.append((2 * depth - 1, 2 * depth))
     children.extend(() for _ in range(depth + 1))
     return TreeTopology(tuple(children))
-
-
-def parse_adjacency(text: str) -> TreeTopology:
-    """Parse an adjacency-list description into a topology.
-
-    Format: one line per non-leaf node, ``<id>: <child> <child> ...``;
-    ``#`` starts a comment. Nodes that appear only as children are leaves.
-    """
-    entries: dict[int, tuple[int, ...]] = {}
-    max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise TopologyError(f"line {lineno}: expected '<id>: <children>'")
-        try:
-            node = int(head)
-            kids = tuple(int(tok) for tok in rest.split())
-        except ValueError as exc:
-            raise TopologyError(f"line {lineno}: {exc}") from None
-        if node in entries:
-            raise TopologyError(f"line {lineno}: node {node} listed twice")
-        if not kids:
-            raise TopologyError(f"line {lineno}: node {node} has no children")
-        entries[node] = kids
-        max_id = max(max_id, node, *kids)
-    if max_id < 0:
-        raise TopologyError("empty adjacency description")
-    children = tuple(entries.get(i, ()) for i in range(max_id + 1))
-    return TreeTopology(children)
-
-
-def load_topology(path: str) -> TreeTopology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_adjacency(fh.read())

@@ -19,7 +19,7 @@ import pytest
 
 import treebandit
 from treebandit.engine import FeedbackModel, Simulation
-from treebandit.env import BernoulliTreeEnv, make_lower_bound_env
+from treebandit.env import BernoulliTreeEnv, LowerBoundChainEnv
 from treebandit.harness import (
     ExperimentConfig,
     fit_loglog_slope,
@@ -289,7 +289,7 @@ def test_criterion_08_chain_environment_and_oracle_slope():
     ok = True
     for L in (2, 3):
         delta = 2.0 ** -(L + 1)
-        env = make_lower_bound_env(L, delta)
+        env = LowerBoundChainEnv(L, delta)
         means = sorted(env.expected_costs(1))
         shallow = [(1 - (2**L - 2**k) * delta) / 2 for k in range(L - 1)]
         expected = sorted(shallow + [(1 - 2**L * delta) / 2, (1 + 2**L * delta) / 2])

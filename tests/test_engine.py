@@ -14,7 +14,7 @@ from treebandit.engine import (
     TraceRecorder,
     rng_streams,
 )
-from treebandit.env import BernoulliTreeEnv, CostEnvironment, EnvError, make_lower_bound_env
+from treebandit.env import BernoulliTreeEnv, CostEnvironment, EnvError, LowerBoundChainEnv
 from treebandit.policy import (
     AnytimeEpsilonExp3,
     EpsilonExp3,
@@ -242,6 +242,14 @@ class TestRegretLedger:
         with pytest.raises(EngineError, match="outside"):
             sim.run_round(1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_costs_rejected(self, bad):
+        topo = build_uniform_tree(2, 1)
+        sim = Simulation(topo, {0: UniformRandomPolicy(2)}, FixedCostEnv([0.5, bad]),
+                         FeedbackModel.END_TO_END_BANDIT, (1,))
+        with pytest.raises(EngineError, match="NaN"):
+            sim.run(5)
+
 
 class TestDeterminism:
     def test_same_entropy_replays_bit_exact(self):
@@ -329,7 +337,7 @@ class TestConditionalExpectedCost:
 class TestOracleWiring:
     def test_oracle_chain_routes_with_expected_costs(self):
         topo = build_chain_tree(2)
-        env = make_lower_bound_env(2, 0.1)
+        env = LowerBoundChainEnv(2, 0.1)
         params = OracleParams(constant_forward_prob(0.3))
         policies = {0: OraclePolicy(2, params), 1: OraclePolicy(2, params)}
         sim = Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, (4,))

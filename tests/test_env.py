@@ -9,10 +9,10 @@ from treebandit.env import (
     CsvMatrixEnv,
     DeadlineLatencyEnv,
     EnvError,
+    LowerBoundChainEnv,
     RateSchedule,
     bernoulli_tree_means,
     hypoexponential_survival,
-    make_lower_bound_env,
     make_mec_env,
     make_multihop_env,
 )
@@ -85,23 +85,23 @@ class TestBernoulliTreeEnv:
 
 class TestLowerBoundChainEnv:
     def test_frozen_ladder_depth2(self):
-        env = make_lower_bound_env(2, 0.1)
+        env = LowerBoundChainEnv(2, 0.1)
         assert_allclose(env.means, [0.35, 0.3, 0.7])
         assert_allclose(env.min_expected_cost, 0.3)
 
     def test_frozen_ladder_depth3(self):
-        env = make_lower_bound_env(3, 1.0 / 16.0)
+        env = LowerBoundChainEnv(3, 1.0 / 16.0)
         assert_allclose(env.means, [0.28125, 0.3125, 0.25, 0.75])
         assert_allclose(env.min_expected_cost, 0.25)
 
     def test_best_last_leaf_swaps_deep_pair(self):
-        env = make_lower_bound_env(2, 0.1, best_last_leaf=True)
+        env = LowerBoundChainEnv(2, 0.1, best_last_leaf=True)
         assert_allclose(env.means, [0.35, 0.7, 0.3])
 
     def test_min_expected_cost_formula(self):
         for depth in (2, 3, 4):
             delta = 2.0 ** -(depth + 1)
-            env = make_lower_bound_env(depth, delta)
+            env = LowerBoundChainEnv(depth, delta)
             want = (1.0 - 2.0**depth * delta) / 2.0
             assert_allclose(env.means.min(), want)
             assert_allclose(env.min_expected_cost, want)
@@ -109,7 +109,7 @@ class TestLowerBoundChainEnv:
     def test_ladder_strictly_increasing(self):
         for depth in (2, 3, 4):
             delta = 2.0 ** -(depth + 1)
-            env = make_lower_bound_env(depth, delta)
+            env = LowerBoundChainEnv(depth, delta)
             ladder = env.means[: depth - 1]
             assert env.min_expected_cost < ladder[0]
             assert np.all(np.diff(ladder) > 0.0) or ladder.size == 1
@@ -117,16 +117,16 @@ class TestLowerBoundChainEnv:
 
     def test_delta_range(self):
         with pytest.raises(EnvError):
-            make_lower_bound_env(2, 0.3)
+            LowerBoundChainEnv(2, 0.3)
         with pytest.raises(EnvError):
-            make_lower_bound_env(2, 0.25)
+            LowerBoundChainEnv(2, 0.25)
         with pytest.raises(EnvError):
-            make_lower_bound_env(2, 0.0)
+            LowerBoundChainEnv(2, 0.0)
         with pytest.raises(EnvError):
-            make_lower_bound_env(1, 0.1)
+            LowerBoundChainEnv(1, 0.1)
 
     def test_costs_match_means(self):
-        env = make_lower_bound_env(2, 0.125)
+        env = LowerBoundChainEnv(2, 0.125)
         n = 100_000
         emp = mc_mean_costs(env, t=1, n_draws=n, seed=11)
         assert_within_binomial_ci(emp, env.means, n)
@@ -292,3 +292,10 @@ class TestCsvMatrixEnv:
         empty.write_text("3,4\n")
         with pytest.raises(EnvError):
             CsvMatrixEnv(str(empty))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_costs_rejected(self, tmp_path, bad):
+        path = tmp_path / "n.csv"
+        path.write_text(f"3,4\n0,1\n0.5,{bad}\n")
+        with pytest.raises(EnvError, match="finite"):
+            CsvMatrixEnv(str(path))

@@ -12,9 +12,10 @@ from treebandit.env import (
     BernoulliTreeEnv,
     CsvMatrixEnv,
     DeadlineLatencyEnv,
+    LowerBoundChainEnv,
     bernoulli_tree_means,
-    make_lower_bound_env,
 )
+from treebandit import harness
 from treebandit.harness import (
     DEFAULT_MASTER_SEED,
     AggregateResult,
@@ -29,7 +30,6 @@ from treebandit.harness import (
     fit_loglog_slope,
     load_config_file,
     load_scenario,
-    policy_feedback,
     resolve_shift_round,
     run_experiment,
     run_one,
@@ -107,12 +107,37 @@ def test_missing_scenario_reported():
         ({"trace": {"window": 0, "watched": [[0, 1]]}}, "trace.window"),
         ({"trace": {"window": 5, "watched": [[0, 3]]}}, "trace.watched"),
         ({"trace": {"window": 5, "watched": [[3, 7]]}}, "trace.watched"),
+        # each of these passed validation and then failed at run time, or
+        # was silently ignored
+        ({"policies": [{"name": "eps_exp3", "eta": 0}]}, "policies[0].eta"),
+        ({"policies": [{"name": "eps_exp3", "epsilon": 5}]}, "policies[0].epsilon"),
+        ({"env": {"kind": "deadline_multihop", "ramp": 5}}, "env.ramp"),
+        ({"env": {"kind": "deadline_mec", "deadline": -1}}, "env.deadline"),
+        (
+            {
+                "env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_fraction": 0.1},
+                "policies": [{"name": "exp3", "eta": "shift_matched", "eta_scale": 0}],
+            },
+            "policies[0].eta_scale",
+        ),
+        ({"policies": [{"name": "normalized_eg", "feedback": "bandit"}]}, "policies[0].feedback"),
+        ({"policies": [{"name": "eps_exp3", "feedback": "one_hop"}]}, "policies[0].feedback"),
+        (
+            {"policies": [{"name": "normalized_eg", "feedback": "one_hop_complete"}]},
+            "policies[0].feedback",
+        ),
+        ({"policies": [{"name": "eps_exp3", "epsilom": 0.1}]}, "policies[0].epsilom"),
+        ({"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shfit_round": 5}}, "env.shfit_round"),
+        ({"policies": [{"name": "exp3", "gamma": 0}]}, "policies[0]"),
+        ({"env": {"kind": "csv", "path": 5}}, "env.path"),
+        ({"trace": {"window": 5, "watched": [[-1, 1]]}}, "trace.watched"),
+        ({"seed": 3}, "seed"),
     ],
 )
 def test_errors_name_the_offending_key(patch, key):
     errors = validate_config_dict(base_config(**patch))
     assert errors, f"expected an error for {patch}"
-    assert any(key in msg for msg in errors)
+    assert any(msg.startswith(f"{key}:") or msg.startswith(f"{key}.") for msg in errors), errors
 
 
 def test_means_length_checked_against_leaves():
@@ -177,6 +202,54 @@ def test_multiple_errors_collected_in_one_pass():
     assert len(errors) >= 4
 
 
+def test_non_string_label_names_the_rows():
+    cfg = ExperimentConfig.from_dict(base_config(policies=[{"name": "uniform", "label": 5}]))
+    assert {row.policy for row in run_experiment(cfg).seed_rows} == {"5"}
+
+
+def test_numbers_written_as_strings_are_read():
+    # PyYAML reads an exponent without a dot, such as 5e-1, as a string
+    raw = base_config(
+        env={"kind": "deadline_mec", "constant_rate": "8", "deadline": "5e-1", "ramp": ["2", 2e2]},
+        policies=[{"name": "eps_exp3", "eta": "1e-1"}],
+    )
+    assert validate_config_dict(raw) == []
+    cfg = ExperimentConfig.from_dict(raw)
+    env = build_env(cfg.env, build_topology(cfg.topology), 10)
+    assert env.deadline == 0.5
+    assert len(run_experiment(cfg).seed_rows) == 4
+    for bad in ("nan", "fast", True):
+        raw = base_config(env={"kind": "deadline_mec", "deadline": bad})
+        assert validate_config_dict(raw) == [f"env.deadline: must be a number > 0, got {bad!r}"]
+
+
+def csv_config(tmp_path, text, horizons=(2,)):
+    path = tmp_path / "costs.csv"
+    path.write_text(text)
+    return base_config(
+        topology={"kind": "uniform", "fanout": 2, "depth": 1},
+        env={"kind": "csv", "path": str(path)},
+        horizons=list(horizons),
+    )
+
+
+def test_csv_header_must_list_the_leaves_in_order(tmp_path):
+    assert validate_config_dict(csv_config(tmp_path, "1,2\n0.1,0.2\n0.3,0.4\n")) == []
+    for header in ("99,98", "2,1"):
+        errors = validate_config_dict(csv_config(tmp_path, f"{header}\n0.1,0.2\n0.3,0.4\n"))
+        assert len(errors) == 1 and errors[0].startswith("env.path: header leaf ids"), errors
+
+
+def test_csv_shorter_than_the_largest_horizon_is_rejected(tmp_path):
+    errors = validate_config_dict(csv_config(tmp_path, "1,2\n0.1,0.2\n", horizons=[1, 2]))
+    assert errors == ["env.path: 1 cost rows, fewer than the horizon 2"]
+
+
+def test_csv_with_a_nan_cost_is_rejected(tmp_path):
+    errors = validate_config_dict(csv_config(tmp_path, "1,2\n0.1,0.2\n0.3,nan\n"))
+    assert len(errors) == 1 and errors[0].startswith("env: ") and "finite" in errors[0]
+
+
 def test_from_dict_round_trip_and_defaults():
     cfg = ExperimentConfig.from_dict(base_config())
     assert cfg.scenario == "unit"
@@ -222,6 +295,17 @@ def test_every_bundled_scenario_validates():
         raw = load_scenario(name)
         assert validate_config_dict(raw) == [], name
         assert raw["scenario"] == name
+
+
+def test_every_bundled_and_benchmark_config_runs_at_small_horizons():
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs")
+    raws = [load_scenario(name) for name in scenario_names()]
+    raws += [load_config_file(os.path.join(bench, f)) for f in sorted(os.listdir(bench))]
+    assert len(raws) == 12
+    for raw in raws:
+        cfg = ExperimentConfig.from_dict(dict(raw, horizons=[10, 20], seeds=1))
+        res = run_experiment(cfg, with_trace=True)
+        assert len(res.seed_rows) == 2 * len(cfg.policies), cfg.scenario
 
 
 def test_unknown_scenario_lists_available():
@@ -277,7 +361,7 @@ def test_build_env_bernoulli_with_shift_leaf():
 def test_build_env_lower_bound_default_delta():
     topo = build_topology({"kind": "chain", "depth": 2})
     env = build_env({"kind": "lower_bound_chain"}, topo, 100)
-    reference = make_lower_bound_env(2, 2.0 ** -3)
+    reference = LowerBoundChainEnv(2, 2.0 ** -3)
     assert np.allclose(env.expected_costs(0), reference.expected_costs(0))
 
 
@@ -298,17 +382,28 @@ def test_build_env_mec_uses_horizon():
     assert env.n_leaves == 4
 
 
-def test_policy_feedback_defaults_and_override():
-    assert policy_feedback({"name": "normalized_eg"}) is FeedbackModel.COMPLETE_ONE_HOP
-    assert policy_feedback({"name": "eps_exp3"}) is FeedbackModel.END_TO_END_BANDIT
-    assert (
-        policy_feedback({"name": "eps_exp3", "feedback": "one_hop"})
-        is FeedbackModel.COMPLETE_ONE_HOP
-    )
-    assert (
-        policy_feedback({"name": "normalized_eg", "feedback": "bandit"})
-        is FeedbackModel.END_TO_END_BANDIT
-    )
+def test_policy_feedback_defaults_and_override(monkeypatch):
+    """The feedback model follows the policy, and no key overrides it."""
+    used = []
+    simulation = harness.Simulation
+
+    def recording(topology, policies, env, feedback, entropy):
+        used.append(feedback)
+        return simulation(topology, policies, env, feedback, entropy)
+
+    monkeypatch.setattr(harness, "Simulation", recording)
+    for name in ("normalized_eg", "eps_exp3", "exp3", "uniform"):
+        cfg = ExperimentConfig.from_dict(base_config(policies=[{"name": name}]))
+        run_one(cfg, cfg.policies[0], 10, 0)
+    assert used == [
+        FeedbackModel.COMPLETE_ONE_HOP,
+        FeedbackModel.END_TO_END_BANDIT,
+        FeedbackModel.END_TO_END_BANDIT,
+        FeedbackModel.END_TO_END_BANDIT,
+    ]
+    for name, model in (("eps_exp3", "one_hop"), ("normalized_eg", "bandit")):
+        raw = base_config(policies=[{"name": name, "feedback": model}])
+        assert validate_config_dict(raw) == ["policies[0].feedback: unknown key"]
 
 
 def test_build_policies_eps_exp3_horizon_tuned():

@@ -17,13 +17,11 @@ from treebandit.policy import (
     StationaryPolicy,
     UniformRandomPolicy,
     anytime_segment,
-    anytime_wrap,
     classic_exp3_gamma,
     constant_forward_prob,
     default_params,
     eg_default_eta,
     exp_decay_forward_prob,
-    oracle_select,
     stable_softmax,
 )
 
@@ -276,12 +274,13 @@ class TestAnytimeSchedule:
         assert bounds == [1, 2, 4, 8, 16, 32]
 
     def test_wrap_supplies_segment_params(self):
-        rule = lambda horizon: default_params(horizon, 2, 2, False)
-        params, reset = anytime_wrap(rule, 8)
-        assert reset
-        assert_allclose(params.eta, 8.0 ** (-2.0 / 3.0))
-        _, reset9 = anytime_wrap(rule, 9)
-        assert not reset9
+        pol = AnytimeEpsilonExp3(2, depth=2, max_fanout=2, children_all_leaves=False)
+        m, boundary = anytime_segment(8)
+        assert boundary
+        pol.start_segment(m)
+        assert_allclose(pol.eta, 8.0 ** (-2.0 / 3.0))
+        assert_allclose(pol.epsilon, min(1.0, 2 * 8.0 ** (-1.0 / 3.0)))
+        assert not anytime_segment(9)[1]
 
     def test_policy_resets_on_boundary(self):
         pol = AnytimeEpsilonExp3(2, depth=2, max_fanout=2, children_all_leaves=False)
@@ -353,24 +352,26 @@ class TestSimplePolicies:
         assert np.all(np.abs(counts / 40_000 - 0.25) < 0.02)
 
 
+def oracle_picks(forward_prob_fn, expected_child_costs, n, seed):
+    """How often an oracle told these expected costs forwards to child 1."""
+    pol = OraclePolicy(2, OracleParams(forward_prob_fn))
+    pol.set_expected_costs(expected_child_costs)
+    rng = np.random.default_rng(seed)
+    return sum(pol.select(rng).child for _ in range(n))
+
+
 class TestOracle:
     def test_greedy_limit(self):
-        params = OracleParams(constant_forward_prob(0.0))
-        rng = np.random.default_rng(4)
-        assert all(oracle_select(params, (0.3, 0.7), rng) == 0 for _ in range(100))
+        assert oracle_picks(constant_forward_prob(0.0), (0.3, 0.7), 100, seed=4) == 0
 
     def test_forward_probability(self):
-        params = OracleParams(lambda gap: 0.25)
-        rng = np.random.default_rng(5)
         n = 100_000
-        picks = sum(oracle_select(params, (0.3, 0.7), rng) for _ in range(n))
+        picks = oracle_picks(lambda gap: 0.25, (0.3, 0.7), n, seed=5)
         assert abs(picks / n - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / n)
 
     def test_tie_symmetry(self):
-        params = OracleParams(constant_forward_prob(0.0))
-        rng = np.random.default_rng(6)
         n = 100_000
-        picks = sum(oracle_select(params, (0.5, 0.5), rng) for _ in range(n))
+        picks = oracle_picks(constant_forward_prob(0.0), (0.5, 0.5), n, seed=6)
         assert abs(picks / n - 0.5) <= 4 * math.sqrt(0.25 / n)
 
     def test_prob_builders(self):

@@ -5,7 +5,6 @@ from treebandit.topology import (
     TreeTopology,
     build_chain_tree,
     build_uniform_tree,
-    parse_adjacency,
 )
 
 
@@ -38,8 +37,7 @@ class TestUniformTree:
         for i in t.non_leaves:
             assert len(t.children[i]) == fanout
         for leaf in t.leaves:
-            assert t.hops_from_root(leaf) == depth
-        assert t.is_uniform_depth
+            assert t.depth_of[leaf] == depth
         assert t.depth == depth
         assert t.max_fanout == fanout
         # parent/child maps mutually consistent
@@ -76,17 +74,16 @@ class TestChainTree:
         assert t.children[2] == (5, 6)
 
     def test_hop_distances(self):
-        assert build_chain_tree(2).hops_from_root(1) == 1
-        assert build_chain_tree(3).hops_from_root(1) == 1
+        assert build_chain_tree(2).depth_of[1] == 1
+        assert build_chain_tree(3).depth_of[1] == 1
         t = build_chain_tree(3)
-        assert t.hops_from_root(0) == 0
-        assert t.hops_from_root(6) == 3
+        assert t.depth_of[0] == 0
+        assert t.depth_of[6] == 3
 
     def test_ragged_depths(self):
         t = build_chain_tree(3)
-        assert not t.is_uniform_depth
         assert t.depth == 3
-        assert sorted(t.hops_from_root(l) for l in t.leaves) == [1, 2, 3, 3]
+        assert sorted(t.depth_of[l] for l in t.leaves) == [1, 2, 3, 3]
 
     def test_rejects_short_chain(self):
         with pytest.raises(TopologyError):
@@ -95,11 +92,13 @@ class TestChainTree:
 
 class TestQueries:
     def test_root_hop_zero(self):
-        assert build_uniform_tree(2, 2).hops_from_root(0) == 0
+        assert build_uniform_tree(2, 2).depth_of[0] == 0
 
     def test_unknown_id(self):
-        with pytest.raises(TopologyError):
-            build_uniform_tree(2, 2).hops_from_root(7)
+        t = build_uniform_tree(2, 2)
+        for query in (t.is_leaf, t.children_all_leaves):
+            with pytest.raises(TopologyError):
+                query(7)
 
     def test_children_all_leaves(self):
         t = build_uniform_tree(2, 2)
@@ -123,37 +122,24 @@ class TestQueries:
 
 
 class TestAdjacencyParsing:
-    def test_round_trip(self):
-        t = parse_adjacency("0: 1 2\n1: 3 4  # comment\n2: 5 6\n")
-        ref = build_uniform_tree(2, 2)
-        assert t.children == ref.children
+    """The checks TreeTopology makes on the children lists it is given."""
 
     def test_ragged_allowed(self):
-        t = parse_adjacency("0: 2 1\n1: 3 4")
+        t = TreeTopology(((2, 1), (3, 4), (), (), ()))
         assert t.children == build_chain_tree(2).children
         assert t.depth == 2
 
     def test_root_as_child(self):
-        with pytest.raises(TopologyError):
-            parse_adjacency("0: 1\n1: 0")
+        with pytest.raises(TopologyError, match="root"):
+            TreeTopology(((1,), (0,)))
 
     def test_two_parents(self):
-        with pytest.raises(TopologyError):
-            parse_adjacency("0: 1 2\n1: 3\n2: 3")
+        with pytest.raises(TopologyError, match="two parents"):
+            TreeTopology(((1, 2), (3,), (3,), ()))
 
     def test_unreachable(self):
-        with pytest.raises(TopologyError):
-            parse_adjacency("0: 1 2\n3: 4")
-
-    def test_duplicate_entry(self):
-        with pytest.raises(TopologyError):
-            parse_adjacency("0: 1 2\n0: 1 2")
-
-    def test_garbage(self):
-        with pytest.raises(TopologyError):
-            parse_adjacency("zero: one")
-        with pytest.raises(TopologyError):
-            parse_adjacency("")
+        with pytest.raises(TopologyError, match="unreachable"):
+            TreeTopology(((1, 2), (), (), (4,), ()))
 
 
 class TestDirectConstruction:

@@ -225,15 +225,13 @@ class Simulation:
         vs = [1.0]
         pending = []  # (policy, draw, own receive prob)
         children = self._children
-        memo: dict[int, float] | None = None
+        memo: dict[int, float] = {}
         while True:
             kids = children[node]
             if not kids:
                 break
             pol = self._pols[node]
             if pol.requires_expected_costs:
-                if memo is None:
-                    memo = {}
                 pol.set_expected_costs([self._w(c, t, memo) for c in kids])
             x = pol.distribution()
             draw = pol.select(self._node_rngs[node])
@@ -254,12 +252,10 @@ class Simulation:
         chosen_child = [-1] * n
         chosen_prob = [0.0] * n
         draws: dict[int, ModeDraw] = {}
-        memo: dict[int, float] | None = None
+        memo: dict[int, float] = {}
         for node in self.topology.non_leaves:
             pol = self._pols[node]
             if pol.requires_expected_costs:
-                if memo is None:
-                    memo = {}
                 pol.set_expected_costs(
                     [self._w(c, t, memo) for c in self._children[node]]
                 )
@@ -319,9 +315,14 @@ class Simulation:
         for t in range(1, T + 1):
             self._begin_round(t)
             if trace is not None:
-                probs = [
-                    self._pols[node].distribution()[idx] for node, idx in watch_idx
-                ]
+                memo: dict[int, float] = {}
+                probs = []
+                for node, idx in watch_idx:
+                    pol = self._pols[node]
+                    if pol.requires_expected_costs:
+                        # the oracle's distribution follows this round's expected costs
+                        pol.set_expected_costs([self._w(c, t, memo) for c in self._children[node]])
+                    probs.append(pol.distribution()[idx])
                 trace.observe(t, probs)
             round_fn(t)
         return self.ledger

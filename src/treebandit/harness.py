@@ -245,9 +245,9 @@ def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
     # exp3's shift_matched eta reads the env, so policies are built only on a good one
     policy_T = T if env is not None else None
     policies = r.get("policies", lambda v: isinstance(v, list) and v != [],
-                     "must be a non-empty list", [])
+                     "must be a non-empty list")
     labels: set[str] = set()
-    for k, entry in enumerate(policies):
+    for k, entry in enumerate(policies or []):
         where = f"policies[{k}]"
         _collect(errors, where, _read_policy, entry, where, topology, policy_T, env_spec)
         if isinstance(entry, dict):
@@ -463,8 +463,8 @@ def _read_trace(errors: list[str], spec, topology: TreeTopology | None) -> dict 
     r = _Reader(spec, "trace", errors)
     window = r.get("window", lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 1000)
     watched = r.get("watched", lambda v: isinstance(v, list) and v != [],
-                    "must be a non-empty list of [node, child] pairs", [])
-    for pair in watched:
+                    "must be a non-empty list of [node, child] pairs")
+    for pair in watched or []:
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
             r.fail("watched", f"bad pair {pair!r}")
         elif topology is not None:

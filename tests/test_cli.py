@@ -202,6 +202,10 @@ def test_trace_requires_trace_section(tmp_path, capsys):
     path.write_text(TINY_CONFIG.split("trace:")[0])
     assert main(["trace", str(path)]) == 1
     assert "no trace section" in capsys.readouterr().err
+    # a window override alone does not make a trace section
+    assert main(["trace", str(path), "--trace-window", "5", "--out", str(tmp_path / "o")]) == 1
+    assert "trace.watched" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_numerical_error_exits_two(tiny_config, tmp_path, capsys, monkeypatch):

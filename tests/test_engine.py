@@ -438,6 +438,17 @@ class TestTrace:
         sim.run(30, trace=trace)
         assert [r[3] for r in trace.rows] == [0.25, 0.25, 0.25]
 
+    def test_oracle_traced_from_the_first_round(self):
+        # the oracle has no distribution until it is given expected costs,
+        # so the trace must supply them before it reads one
+        topo = build_uniform_tree(2, 1)
+        env = FixedCostEnv([0.9, 0.1])
+        pol = OraclePolicy(2, OracleParams(constant_forward_prob(0.25)))
+        sim = Simulation(topo, {0: pol}, env, FeedbackModel.END_TO_END_BANDIT, (3,))
+        trace = TraceRecorder(window=2, watched=((0, 1), (0, 2)))
+        sim.run(4, trace=trace)
+        assert trace.rows == [(2, 0, 1, 0.25), (2, 0, 2, 0.75), (4, 0, 1, 0.25), (4, 0, 2, 0.75)]
+
 
 class TestBaselinePolicyWiring:
     def test_exp3_runs_end_to_end(self):

@@ -86,6 +86,16 @@ def test_missing_scenario_reported():
     assert any(msg.startswith("scenario:") for msg in validate_config_dict(raw))
 
 
+@pytest.mark.parametrize("key", ["topology", "env", "policies", "horizons"])
+def test_missing_required_key_reported(key):
+    raw = base_config()
+    del raw[key]
+    errors = validate_config_dict(raw)
+    assert any(msg.startswith(f"{key}:") or msg.startswith(f"{key}.") for msg in errors), errors
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
 @pytest.mark.parametrize(
     "patch, key",
     [
@@ -107,6 +117,9 @@ def test_missing_scenario_reported():
         ({"trace": {"window": 0, "watched": [[0, 1]]}}, "trace.window"),
         ({"trace": {"window": 5, "watched": [[0, 3]]}}, "trace.watched"),
         ({"trace": {"window": 5, "watched": [[3, 7]]}}, "trace.watched"),
+        ({"trace": {"window": 5}}, "trace.watched"),
+        ({"trace": {}}, "trace.watched"),
+        ({"policies": []}, "policies"),
         # each of these passed validation and then failed at run time, or
         # was silently ignored
         ({"policies": [{"name": "eps_exp3", "eta": 0}]}, "policies[0].eta"),

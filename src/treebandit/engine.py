@@ -5,6 +5,9 @@ it reaches a leaf, whose cost for that round is the system's realized cost.
 The engine draws the full leaf-cost vector exactly once per round; the same
 draw feeds both the policies (as bandit or one-hop feedback) and the regret
 ledger, so regret is measured on the sample path the algorithm actually saw.
+Draws are fetched a block of rounds at a time, which changes no value: a
+block of draws from a numpy Generator equals the same draws made one call
+at a time, and the ledger adds the block's rows in round order.
 
 Two feedback models:
 
@@ -65,10 +68,24 @@ class RegretLedger:
         self.cumulative_leaf_costs = np.zeros(n_leaves)
         self.rounds_elapsed = 0
 
-    def record(self, realized_cost: float, leaf_costs: np.ndarray) -> None:
-        self.cumulative_algorithm_cost += realized_cost
-        self.cumulative_leaf_costs += leaf_costs
-        self.rounds_elapsed += 1
+    def record(self, realized_costs: list[float], leaf_costs: np.ndarray) -> None:
+        """Add a block of rounds: ``realized_costs[i]`` and row ``i`` of
+        ``leaf_costs`` belong to the same round.
+
+        Both totals are summed round by round, in order, so they hold the
+        same floats whatever the block size. Adding ``leaf_costs.sum(axis=0)``
+        to the running total would not: deadline costs are not integers.
+        """
+        total = self.cumulative_algorithm_cost
+        for cost in realized_costs:
+            total += cost
+        self.cumulative_algorithm_cost = total
+        running = np.empty((len(leaf_costs) + 1, self.cumulative_leaf_costs.size))
+        running[0] = self.cumulative_leaf_costs
+        running[1:] = leaf_costs
+        np.add.accumulate(running, axis=0, out=running)
+        self.cumulative_leaf_costs = running[-1].copy()
+        self.rounds_elapsed += len(leaf_costs)
 
     def optimal_stationary_cost(self) -> float:
         if self.rounds_elapsed == 0:
@@ -118,6 +135,36 @@ class TraceRecorder:
             self._count = 0
 
 
+# A round's environment costs come from a block of this many leaf costs
+# (rows = rounds); node streams refill in buffers that double up to the cap.
+# Both bound the memory a run holds at a few hundred KiB.
+BLOCK_ELEMENTS = 16384
+NODE_BUFFER_FIRST = 8
+NODE_BUFFER_CAP = 256
+
+
+def _buffered_floats(seed: list[int]):
+    """The floats that successive ``default_rng(seed).random()`` calls
+    return, fetched in buffers; the generator is seeded on the first draw."""
+    gen = np.random.default_rng(seed)
+    size = NODE_BUFFER_FIRST
+    while True:
+        yield from gen.random(size).tolist()
+        size = min(2 * size, NODE_BUFFER_CAP)
+
+
+class NodeStream:
+    """A node's random stream: ``random()`` returns the next float of a
+    numpy Generator seeded with ``seed``, as a Python float, taking no
+    arguments. Nothing is seeded until the first call, so a node no job
+    reaches costs no generator."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, seed: list[int]) -> None:
+        self.random = _buffered_floats(seed).__next__
+
+
 def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, list]:
     """Environment stream plus one stream per non-leaf node.
 
@@ -128,12 +175,18 @@ def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, l
     env_rng = np.random.default_rng(base + [0])
     node_rngs: list = [None] * topology.node_count
     for node in topology.non_leaves:
-        node_rngs[node] = np.random.default_rng(base + [1, node])
+        node_rngs[node] = NodeStream(base + [1, node])
     return env_rng, node_rngs
 
 
 class Simulation:
-    """One seeded run: topology + per-node policies + environment + model."""
+    """One seeded run: topology + per-node policies + environment + model.
+
+    Rounds run a block at a time: the environment draws the costs of up to
+    ``BLOCK_ELEMENTS // n_leaves`` rounds in one call, the range check and
+    the regret ledger take the whole block, and each round of the block is
+    routed from its row. ``run_round`` runs a one-round block.
+    """
 
     def __init__(
         self,
@@ -173,21 +226,20 @@ class Simulation:
         self._non_leaves_deep_first = tuple(order)
         self._anytime = any(policies[n].anytime for n in topology.non_leaves)
         self._exp_cache: tuple[int, np.ndarray] | None = None
+        self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
     # -- per-round machinery -------------------------------------------------
 
-    def _begin_round(self, t: int) -> None:
-        if self._anytime and (t & (t - 1)) == 0:
-            m = t.bit_length() - 1
-            for node in self.topology.non_leaves:
-                self._pols[node].start_segment(m)
-
-    def _draw_costs(self, t: int) -> np.ndarray:
-        costs = self.env.costs(t, self.env_rng)
+    def _draw_block(self, t: int, n: int) -> np.ndarray:
+        block = self.env.costs_block(t, n, self.env_rng)
         # written so that a NaN, which fails every comparison, fails the check
-        if not (costs.min() >= 0.0 and costs.max() <= 1.0):
-            raise EngineError(f"environment produced costs outside [0,1] or NaN at round {t}")
-        return costs
+        if not (block.min() >= 0.0 and block.max() <= 1.0):
+            bad = ~((block >= 0.0) & (block <= 1.0)).all(axis=1)
+            first = t + int(np.argmax(bad))
+            raise EngineError(
+                f"environment produced costs outside [0,1] or NaN at round {first}"
+            )
+        return block
 
     def _expected_costs(self, t: int) -> np.ndarray:
         if self._exp_cache is None or self._exp_cache[0] != t:
@@ -217,37 +269,39 @@ class Simulation:
         self.topology._check(node)
         return self._w(node, t, {})
 
-    def _bandit_round(self, t: int):
-        costs = self._draw_costs(t)
+    def _bandit_round(self, t: int, block: np.ndarray, i: int):
+        """Route round t's job on the costs in row i and update the path.
+
+        Returns the realized cost and the hops: (node, draw, receive prob)
+        for each node on the path, ending with (leaf, None, its prob)."""
+        children = self._children
+        pols = self._pols
+        hops = []
+        memo = None
         node = 0
         v = 1.0
-        path = [0]
-        vs = [1.0]
-        pending = []  # (policy, draw, own receive prob)
-        children = self._children
-        memo: dict[int, float] = {}
-        while True:
-            kids = children[node]
-            if not kids:
-                break
-            pol = self._pols[node]
+        kids = children[0]
+        while kids:
+            pol = pols[node]
             if pol.requires_expected_costs:
+                if memo is None:
+                    memo = {}
                 pol.set_expected_costs([self._w(c, t, memo) for c in kids])
             x = pol.distribution()
             draw = pol.select(self._node_rngs[node])
-            pending.append((pol, draw, v))
+            hops.append((node, draw, v))
             v = v * x[draw.child]
             node = kids[draw.child]
-            path.append(node)
-            vs.append(v)
-        realized = float(costs[self._leaf_pos[node]])
-        for pol, draw, own_v in pending:
-            pol.update(draw, realized, own_v)
-        self.ledger.record(realized, costs)
-        return path, vs, [d for _, d, _ in pending], realized
+            kids = children[node]
+        realized = block.item(i, self._leaf_pos[node])
+        for hop_node, draw, own_v in hops:
+            pols[hop_node].update(draw, realized, own_v)
+        hops.append((node, None, v))
+        return realized, hops
 
-    def _complete_round(self, t: int):
-        costs = self._draw_costs(t)
+    def _complete_round(self, t: int, block: np.ndarray, i: int):
+        """Every non-leaf selects and observes all its children's would-be
+        costs (row i); returns what ``_bandit_round`` returns."""
         n = self.topology.node_count
         chosen_child = [-1] * n
         chosen_prob = [0.0] * n
@@ -263,44 +317,75 @@ class Simulation:
             draws[node] = draw
             chosen_child[node] = self._children[node][draw.child]
             chosen_prob[node] = pol.distribution()[draw.child]
+        costs = block[i].tolist()
         y = [0.0] * n
         for leaf in self.topology.leaves:
-            y[leaf] = float(costs[self._leaf_pos[leaf]])
+            y[leaf] = costs[self._leaf_pos[leaf]]
         for node in self._non_leaves_deep_first:
             y[node] = y[chosen_child[node]]
         for node in self.topology.non_leaves:
             self._pols[node].observe_all(
                 [y[c] for c in self._children[node]]
             )
-        path = [0]
-        vs = [1.0]
-        mode_list = []
+        hops = []
         node = 0
+        v = 1.0
         while chosen_child[node] != -1:
-            mode_list.append(draws[node])
-            vs.append(vs[-1] * chosen_prob[node])
+            hops.append((node, draws[node], v))
+            v = v * chosen_prob[node]
             node = chosen_child[node]
-            path.append(node)
-        realized = y[0]
-        self.ledger.record(realized, costs)
-        return path, vs, mode_list, realized
+        hops.append((node, None, v))
+        return y[0], hops
+
+    def _trace_probs(self, t: int, watch_idx) -> list[float]:
+        memo: dict[int, float] = {}
+        probs = []
+        for node, idx in watch_idx:
+            pol = self._pols[node]
+            if pol.requires_expected_costs:
+                # the oracle's distribution follows this round's expected costs
+                pol.set_expected_costs([self._w(c, t, memo) for c in self._children[node]])
+            probs.append(pol.distribution()[idx])
+        return probs
+
+    def _run_block(self, t0: int, n: int, trace=None, watch_idx=()):
+        """Run rounds t0..t0+n-1 on one block of environment costs; returns
+        the last round's realized cost and hops."""
+        block = self._draw_block(t0, n)
+        bandit = self.feedback is FeedbackModel.END_TO_END_BANDIT
+        route = self._bandit_round if bandit else self._complete_round
+        anytime = self._anytime
+        realized = []
+        for i in range(n):
+            t = t0 + i
+            if anytime and (t & (t - 1)) == 0:
+                m = t.bit_length() - 1
+                for node in self.topology.non_leaves:
+                    self._pols[node].start_segment(m)
+            if trace is not None:
+                trace.observe(t, self._trace_probs(t, watch_idx))
+            cost, hops = route(t, block, i)
+            realized.append(cost)
+        self.ledger.record(realized, block)
+        return cost, hops
 
     # -- public API ------------------------------------------------------------
 
     def run_round(self, t: int) -> RoundOutcome:
         """Execute round t and report what happened."""
-        self._begin_round(t)
+        realized, hops = self._run_block(t, 1)
+        modes = None
         if self.feedback is FeedbackModel.END_TO_END_BANDIT:
-            path, vs, modes, realized = self._bandit_round(t)
-            return RoundOutcome(tuple(path), realized, tuple(vs), tuple(modes))
-        path, vs, modes, realized = self._complete_round(t)
-        return RoundOutcome(tuple(path), realized, tuple(vs), None)
+            modes = tuple(draw for _, draw, _ in hops[:-1])
+        return RoundOutcome(
+            tuple(node for node, _, _ in hops), realized, tuple(v for _, _, v in hops), modes
+        )
 
     def run(self, T: int, trace: TraceRecorder | None = None) -> RegretLedger:
         """Execute rounds 1..T; optionally record windowed probability traces."""
         if T < 0:
             raise EngineError(f"horizon must be >= 0, got {T}")
-        bandit = self.feedback is FeedbackModel.END_TO_END_BANDIT
+        watch_idx = []
         if trace is not None:
             for node, child in trace.watched:
                 if node >= self.topology.node_count or self._pols[node] is None:
@@ -311,18 +396,9 @@ class Simulation:
                 (node, self._children[node].index(child))
                 for node, child in trace.watched
             ]
-        round_fn = self._bandit_round if bandit else self._complete_round
-        for t in range(1, T + 1):
-            self._begin_round(t)
-            if trace is not None:
-                memo: dict[int, float] = {}
-                probs = []
-                for node, idx in watch_idx:
-                    pol = self._pols[node]
-                    if pol.requires_expected_costs:
-                        # the oracle's distribution follows this round's expected costs
-                        pol.set_expected_costs([self._w(c, t, memo) for c in self._children[node]])
-                    probs.append(pol.distribution()[idx])
-                trace.observe(t, probs)
-            round_fn(t)
+        t = 1
+        while t <= T:
+            n = min(self._block_rounds, T - t + 1)
+            self._run_block(t, n, trace, watch_idx)
+            t += n
         return self.ledger

@@ -4,7 +4,9 @@ An environment generates the would-be cost of EVERY leaf each round. The
 engine draws the vector exactly once per round and uses the same draw for
 both the algorithm's feedback (the reached leaf's entry) and the regret
 ledger (all entries). All environments here are oblivious: draws never
-depend on the algorithm's choices.
+depend on the algorithm's choices, so the engine fetches them a block of
+rounds at a time with ``costs_block``. A block holds exactly the values the
+rounds' own ``costs`` calls would have drawn, in the same order.
 
 Cost vectors are indexed by leaf position, i.e. ``vector[k]`` is the cost
 of ``topology.leaves[k]``.
@@ -25,12 +27,21 @@ class EnvError(ValueError):
 
 
 class CostEnvironment:
-    """Interface: ``costs(t, rng)`` plus optional ``expected_costs(t)``."""
+    """Interface: ``costs(t, rng)`` or ``costs_block(t, n, rng)``, plus
+    optional ``expected_costs(t)``.
+
+    Each of the two draw methods defaults to the other, so a subclass
+    defines at least one of them.
+    """
 
     n_leaves: int
 
     def costs(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        return self.costs_block(t, 1, rng)[0]
+
+    def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Rows ``i = 0..n-1`` hold the cost vector of round ``t + i``."""
+        return np.stack([self.costs(t + i, rng) for i in range(n)])
 
     def expected_costs(self, t: int) -> np.ndarray:
         raise EnvError(f"{type(self).__name__} does not define expected costs")
@@ -92,9 +103,11 @@ class BernoulliTreeEnv(CostEnvironment):
             return self._post
         return self._pre
 
-    def costs(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        p = self._means_at(t)
-        return (rng.random(self.n_leaves) < p).astype(np.float64)
+    def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random((n, self.n_leaves))
+        # rows before the shift round use the pre-shift means
+        pre = n if self.shift_round is None else min(max(self.shift_round - t, 0), n)
+        return np.vstack((u[:pre] < self._pre, u[pre:] < self._post)).astype(np.float64)
 
     def expected_costs(self, t: int) -> np.ndarray:
         return self._means_at(t)
@@ -130,8 +143,8 @@ class LowerBoundChainEnv(CostEnvironment):
         self.n_leaves = int(self.means.size)
         self.min_expected_cost = low
 
-    def costs(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        return (rng.random(self.n_leaves) < self.means).astype(np.float64)
+    def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return (rng.random((n, self.n_leaves)) < self.means).astype(np.float64)
 
     def expected_costs(self, t: int) -> np.ndarray:
         return self.means
@@ -155,7 +168,8 @@ class RateSchedule:
         if self.horizon < 1:
             raise EnvError("horizon must be >= 1")
 
-    def rate(self, t: int) -> float:
+    def rate(self, t):
+        """The rate at round ``t``, an int or an integer array of rounds."""
         if self.horizon <= 1 or self.start == self.end:
             return self.start
         frac = (t - 1) / (self.horizon - 1)
@@ -210,22 +224,28 @@ class DeadlineLatencyEnv(CostEnvironment):
                 node = topology.parent[node]
             self._paths.append(edges[::-1])
 
-    def _rates_at(self, t: int) -> np.ndarray:
-        return np.array([s.rate(t) for s in self._schedules], dtype=np.float64)
+    def _rates(self, t: int, n: int) -> np.ndarray:
+        """Rows ``i = 0..n-1`` hold every stochastic edge's rate at round ``t + i``."""
+        rounds = np.arange(t, t + n)
+        rates = np.empty((n, len(self._schedules)))
+        for e, schedule in enumerate(self._schedules):
+            rates[:, e] = schedule.rate(rounds)
+        return rates
 
-    def costs(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        if self._edges:
-            delays = rng.exponential(1.0, size=len(self._edges)) / self._rates_at(t)
-        else:
-            delays = np.zeros(0)
-        out = np.empty(self.n_leaves)
-        for k in range(self.n_leaves):
-            latency = self._proc[k] + sum(delays[e] for e in self._paths[k])
-            out[k] = 1.0 if latency > self.deadline else self._miss[k]
+    def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        delays = rng.exponential(1.0, size=(n, len(self._edges))) / self._rates(t, n)
+        out = np.empty((n, self.n_leaves))
+        for k, path in enumerate(self._paths):
+            # proc + ((d1 + d2) + ...), the order of a per-round proc + sum(...)
+            latency = 0.0
+            for e in path:
+                latency = latency + delays[:, e]
+            latency = self._proc[k] + latency
+            out[:, k] = np.where(latency > self.deadline, 1.0, self._miss[k])
         return out
 
     def expected_costs(self, t: int) -> np.ndarray:
-        rates = self._rates_at(t)
+        rates = self._rates(t, 1)[0]
         out = np.empty(self.n_leaves)
         for k in range(self.n_leaves):
             budget = self.deadline - self._proc[k]
@@ -330,30 +350,40 @@ class CsvMatrixEnv(CostEnvironment):
             header = fh.readline().strip()
             if not header:
                 raise EnvError(f"{path}: empty cost matrix")
-            self.leaf_ids = [int(tok) for tok in header.split(",")]
+            try:
+                self.leaf_ids = [int(tok) for tok in header.split(",")]
+            except ValueError:
+                raise EnvError(f"{path}:1: header must be leaf ids, got {header!r}") from None
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                vals = [float(tok) for tok in line.split(",")]
+                try:
+                    vals = [float(tok) for tok in line.split(",")]
+                except ValueError:
+                    raise EnvError(
+                        f"{path}:{lineno}: costs must be numbers, got {line.strip()!r}"
+                    ) from None
                 if len(vals) != len(self.leaf_ids):
                     raise EnvError(f"{path}:{lineno}: expected {len(self.leaf_ids)} costs")
+                # a NaN fails both comparisons, so it is rejected with the range
+                if not all(0.0 <= v <= 1.0 for v in vals):
+                    raise EnvError(f"{path}:{lineno}: costs must be finite and lie in [0,1]")
                 rows.append(vals)
         if not rows:
             raise EnvError(f"{path}: no cost rows")
         self._matrix = np.asarray(rows, dtype=np.float64)
-        # a NaN fails both comparisons, so it is rejected with the range
-        if not np.all((self._matrix >= 0.0) & (self._matrix <= 1.0)):
-            raise EnvError(f"{path}: costs must be finite and lie in [0,1]")
         self.n_leaves = self._matrix.shape[1]
         self.n_rounds = self._matrix.shape[0]
 
-    def _row(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.n_rounds:
-            raise EnvError(f"round {t} outside the {self.n_rounds}-row cost matrix")
-        return self._matrix[t - 1]
+    def _check_rounds(self, t: int, n: int) -> None:
+        if t < 1 or t + n - 1 > self.n_rounds:
+            first = t if t < 1 else self.n_rounds + 1
+            raise EnvError(f"round {first} outside the {self.n_rounds}-row cost matrix")
 
-    def costs(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        return self._row(t)
+    def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        self._check_rounds(t, n)
+        return self._matrix[t - 1 : t - 1 + n]
 
     def expected_costs(self, t: int) -> np.ndarray:
-        return self._row(t)
+        self._check_rounds(t, 1)
+        return self._matrix[t - 1]

@@ -27,6 +27,7 @@ from treebandit.env import (
     BernoulliTreeEnv,
     CostEnvironment,
     CsvMatrixEnv,
+    EnvError,
     LowerBoundChainEnv,
     bernoulli_tree_means,
     make_mec_env,
@@ -356,7 +357,11 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
             r.fail("path", f"file not found: {path}")
 
         def make():
-            env = CsvMatrixEnv(path)
+            try:
+                env = CsvMatrixEnv(path)
+            except EnvError as exc:  # a bad file, reported as <file>:<line>: ...
+                r.fail("path", str(exc))
+                return None
             if tuple(env.leaf_ids) != leaves:
                 r.fail("path", f"header leaf ids {env.leaf_ids} must be the topology's "
                                f"leaves in order, {list(leaves)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 PROB_FLOOR = 1e-300
@@ -51,6 +52,14 @@ class ModeDraw:
 
     mode: str | None
     child: int
+
+
+@cache
+def _mode_draws(mode: str | None, n_children: int) -> tuple[ModeDraw, ...]:
+    """``ModeDraw(mode, j)`` for every child position ``j``, made once and
+    shared: a draw is immutable, so select hands these out instead of
+    allocating one per visit."""
+    return tuple(ModeDraw(mode, j) for j in range(n_children))
 
 
 def default_params(T: int, L: int, D: int, children_all_leaves: bool) -> PolicyParams:
@@ -115,12 +124,13 @@ class NodePolicy:
         if n_children < 1:
             raise PolicyError("node needs at least one child")
         self.n_children = n_children
+        self._draws = _mode_draws(None, n_children)
 
     def distribution(self) -> list[float]:
         raise NotImplementedError
 
     def select(self, rng) -> ModeDraw:
-        return ModeDraw(None, _draw_index(self.distribution(), rng))
+        return self._draws[_draw_index(self.distribution(), rng)]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         raise PolicyError(f"{type(self).__name__} does not accept bandit feedback")
@@ -181,6 +191,8 @@ class EpsilonExp3(NodePolicy):
     def __init__(self, n_children: int, eta: float, epsilon: float) -> None:
         super().__init__(n_children)
         self.theta = [0.0] * n_children
+        self._uniform_draws = _mode_draws("U", n_children)
+        self._exploit_draws = _mode_draws("E", n_children)
         self.set_params(eta, epsilon)
 
     def exploit_probs(self) -> list[float]:
@@ -201,8 +213,8 @@ class EpsilonExp3(NodePolicy):
             child = int(rng.random() * self.n_children)
             if child == self.n_children:  # guard the measure-zero edge
                 child -= 1
-            return ModeDraw("U", child)
-        return ModeDraw("E", _draw_index(self.exploit_probs(), rng))
+            return self._uniform_draws[child]
+        return self._exploit_draws[_draw_index(self.exploit_probs(), rng)]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if receive_prob <= 0.0:
@@ -332,7 +344,7 @@ class StationaryPolicy(NodePolicy):
         return self._dist
 
     def select(self, rng) -> ModeDraw:
-        return ModeDraw(None, self.child)
+        return self._draws[self.child]
 
     def update(self, draw, cost, receive_prob) -> None:
         pass
@@ -355,7 +367,7 @@ class UniformRandomPolicy(NodePolicy):
         child = int(rng.random() * self.n_children)
         if child == self.n_children:
             child -= 1
-        return ModeDraw(None, child)
+        return self._draws[child]
 
     def update(self, draw, cost, receive_prob) -> None:
         pass

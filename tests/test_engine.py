@@ -11,6 +11,7 @@ from treebandit.engine import (
     FeedbackModel,
     RegretLedger,
     Simulation,
+    NodeStream,
     TraceRecorder,
     rng_streams,
 )
@@ -282,6 +283,29 @@ class TestDeterminism:
         sim_b.run(60)
         assert np.array_equal(sim_a.ledger.cumulative_leaf_costs,
                               sim_b.ledger.cumulative_leaf_costs)
+
+    def test_node_stream_hands_out_the_generator_floats(self):
+        # 600 draws run through several buffer refills, past the cap
+        stream = NodeStream([4, 1, 2])
+        got = [stream.random() for _ in range(600)]
+        assert got == np.random.default_rng([4, 1, 2]).random(600).tolist()
+        assert all(type(u) is float for u in got)
+
+    def test_only_nodes_on_the_path_are_seeded(self, monkeypatch):
+        topo = build_uniform_tree(4, 3)
+        seeded = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            seeded.append(list(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        sim = make_bandit_sim(topo, np.linspace(0.9, 0.1, 64),
+                              lambda k: EpsilonExp3(k, eta=0.3, epsilon=0.5), (5, 6))
+        assert seeded == [[5, 6, 0]]  # the environment's stream only
+        path = sim.run_round(1).path
+        assert seeded == [[5, 6, 0]] + [[5, 6, 1, node] for node in path[:-1]]
 
     def test_rng_streams_are_distinct(self):
         topo = build_uniform_tree(2, 2)

@@ -54,6 +54,11 @@ from treebandit.policy import (
 from treebandit.topology import build_uniform_tree
 
 
+class CsvText(str):
+    """A cost-matrix CSV body in a config patch: the test writes it to a
+    file and puts the file's path in its place."""
+
+
 def base_config(**overrides):
     raw = {
         "scenario": "unit",
@@ -145,9 +150,20 @@ def test_missing_required_key_reported(key):
         ({"env": {"kind": "csv", "path": 5}}, "env.path"),
         ({"trace": {"window": 5, "watched": [[-1, 1]]}}, "trace.watched"),
         ({"seed": 3}, "seed"),
+        # a bad cost file is reported against env.path, not as a bare env error
+        ({"env": {"kind": "csv", "path": CsvText("3,4,x,6\n0,0,0,0\n")}}, "env.path"),
+        ({"env": {"kind": "csv", "path": CsvText("3,4,5,6\n0,abc,0,0\n")}}, "env.path"),
+        ({"env": {"kind": "csv", "path": CsvText("3,4,5,6\n0,1.5,0,0\n")}}, "env.path"),
+        ({"env": {"kind": "csv", "path": CsvText("3,4,5,6\n0,0,0\n")}}, "env.path"),
+        ({"env": {"kind": "csv", "path": CsvText("")}}, "env.path"),
     ],
 )
-def test_errors_name_the_offending_key(patch, key):
+def test_errors_name_the_offending_key(patch, key, tmp_path):
+    env = patch.get("env", {})
+    if isinstance(env.get("path"), CsvText):
+        path = tmp_path / "costs.csv"
+        path.write_text(env["path"])
+        patch = {**patch, "env": {**env, "path": str(path)}}
     errors = validate_config_dict(base_config(**patch))
     assert errors, f"expected an error for {patch}"
     assert any(msg.startswith(f"{key}:") or msg.startswith(f"{key}.") for msg in errors), errors
@@ -260,7 +276,22 @@ def test_csv_shorter_than_the_largest_horizon_is_rejected(tmp_path):
 
 def test_csv_with_a_nan_cost_is_rejected(tmp_path):
     errors = validate_config_dict(csv_config(tmp_path, "1,2\n0.1,0.2\n0.3,nan\n"))
-    assert len(errors) == 1 and errors[0].startswith("env: ") and "finite" in errors[0]
+    path = tmp_path / "costs.csv"
+    assert errors == [f"env.path: {path}:3: costs must be finite and lie in [0,1]"]
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("1,two\n0.1,0.2\n", 1, "header must be leaf ids, got '1,two'"),
+        ("1,2\n0.1,0.2\n\n0.3,abc\n", 4, "costs must be numbers, got '0.3,abc'"),
+        ("1,2\n0.1,-0.2\n", 2, "costs must be finite and lie in [0,1]"),
+        ("1,2\n0.1,0.2,0.3\n", 2, "expected 2 costs"),
+    ],
+)
+def test_csv_errors_name_file_and_line(tmp_path, text, line, message):
+    errors = validate_config_dict(csv_config(tmp_path, text))
+    assert errors == [f"env.path: {tmp_path / 'costs.csv'}:{line}: {message}"]
 
 
 def test_from_dict_round_trip_and_defaults():

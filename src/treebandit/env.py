@@ -236,7 +236,7 @@ class DeadlineLatencyEnv(CostEnvironment):
         delays = rng.exponential(1.0, size=(n, len(self._edges))) / self._rates(t, n)
         out = np.empty((n, self.n_leaves))
         for k, path in enumerate(self._paths):
-            # proc + ((d1 + d2) + ...), the order of a per-round proc + sum(...)
+            # proc + ((d1 + d2) + ...): the per-round proc + sum(delays) order
             latency = 0.0
             for e in path:
                 latency = latency + delays[:, e]

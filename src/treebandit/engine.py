@@ -14,7 +14,8 @@ Two feedback models:
 - END_TO_END_BANDIT: only nodes on the job's path learn anything, and all
   they see is the single realized leaf cost. The receive probability v is
   propagated multiplicatively down the path (v[root] = 1, v[child] =
-  v[node] * x[node][child]) and handed to each path node's update.
+  v[node] * x[node][child], with x[node][child] read from the node's
+  ``prob(child)``) and handed to each path node's update.
 - COMPLETE_ONE_HOP: every non-leaf selects a child every round, would-be
   costs y propagate bottom-up through the selections, and every node
   observes y for ALL its children.
@@ -258,8 +259,10 @@ class Simulation:
             pol = self._pols[node]
             if pol.requires_expected_costs:
                 pol.set_expected_costs(child_ws)
-            x = pol.distribution()
-            val = sum(p * w for p, w in zip(x, child_ws))
+            # left-to-right adds: sum() compensates from Python 3.12 on
+            val = 0.0
+            for p, w in zip(pol.distribution(), child_ws):
+                val += p * w
         memo[node] = val
         return val
 
@@ -276,6 +279,7 @@ class Simulation:
         for each node on the path, ending with (leaf, None, its prob)."""
         children = self._children
         pols = self._pols
+        rngs = self._node_rngs
         hops = []
         memo = None
         node = 0
@@ -287,11 +291,11 @@ class Simulation:
                 if memo is None:
                     memo = {}
                 pol.set_expected_costs([self._w(c, t, memo) for c in kids])
-            x = pol.distribution()
-            draw = pol.select(self._node_rngs[node])
+            draw = pol.select(rngs[node])
             hops.append((node, draw, v))
-            v = v * x[draw.child]
-            node = kids[draw.child]
+            child = draw.child
+            v = v * pol.prob(child)
+            node = kids[child]
             kids = children[node]
         realized = block.item(i, self._leaf_pos[node])
         for hop_node, draw, own_v in hops:
@@ -316,7 +320,7 @@ class Simulation:
             draw = pol.select(self._node_rngs[node])
             draws[node] = draw
             chosen_child[node] = self._children[node][draw.child]
-            chosen_prob[node] = pol.distribution()[draw.child]
+            chosen_prob[node] = pol.prob(draw.child)
         costs = block[i].tolist()
         y = [0.0] * n
         for leaf in self.topology.leaves:

@@ -608,9 +608,11 @@ def run_one(
     T: int,
     seed: int,
     with_trace: bool = False,
+    topology: TreeTopology | None = None,
 ):
-    """Run a single seeded replication; returns (SeedResult, trace rows)."""
-    topology = build_topology(config.topology)
+    """Run a single seeded replication; returns (SeedResult, trace rows).
+    ``topology``, if given, is ``config.topology`` already built."""
+    topology = topology or build_topology(config.topology)
     env = build_env(config.env, topology, T)
     policies = build_policies(policy_entry, topology, T, config.env)
     # normalized_eg learns from every child's cost (one-hop feedback); every
@@ -662,7 +664,7 @@ def run_experiment(
             trace_acc: np.ndarray | None = None
             trace_key_rows: list[tuple[int, int, int]] | None = None
             for seed in range(config.seeds):
-                row, trace_rows = run_one(config, entry, T, seed, with_trace)
+                row, trace_rows = run_one(config, entry, T, seed, with_trace, topology)
                 results.seed_rows.append(row)
                 ta_values.append(row.regret / T if T > 0 else 0.0)
                 if trace_rows:

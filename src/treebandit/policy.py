@@ -12,8 +12,10 @@ Policies fall into two feedback families:
   node sees one realized cost only on rounds the job passed through it.
 
 ``distribution()`` returns the current selection distribution over child
-positions; the engine uses it both for receive-probability propagation and
-for trace emission.
+positions, for trace emission and the expected-cost recursion.
+``prob(child)`` returns one entry of it, the same float, without building
+the list: the engine multiplies it into the receive probability at every
+hop.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from math import exp
 from typing import Callable
 
 PROB_FLOOR = 1e-300
@@ -96,11 +99,20 @@ def classic_exp3_gamma(n_children: int, T: int) -> float:
 
 
 def stable_softmax(theta, eta: float) -> list[float]:
-    """exp(eta * theta_j) / sum_k exp(eta * theta_k), max-shifted."""
+    """exp(eta * theta_j) / sum_k exp(eta * theta_k), max-shifted. The sum
+    adds left to right; ``sum()`` compensates from Python 3.12 on."""
     m = max(theta)
-    exps = [math.exp(eta * (v - m)) for v in theta]
-    s = sum(exps)
-    return [e / s for e in exps]
+    exps = []
+    s = 0.0
+    for v in theta:
+        e = exp(eta * (v - m))
+        exps.append(e)
+        s += e
+    j = 0
+    for e in exps:
+        exps[j] = e / s
+        j += 1
+    return exps
 
 
 def _draw_index(probs, rng) -> int:
@@ -129,6 +141,10 @@ class NodePolicy:
     def distribution(self) -> list[float]:
         raise NotImplementedError
 
+    def prob(self, child: int) -> float:
+        """``distribution()[child]``; subclasses compute it without the list."""
+        return self.distribution()[child]
+
     def select(self, rng) -> ModeDraw:
         return self._draws[_draw_index(self.distribution(), rng)]
 
@@ -140,11 +156,6 @@ class NodePolicy:
 
     def start_segment(self, m: int) -> None:
         pass
-
-
-def _check_cost(cost: float) -> None:
-    if not 0.0 <= cost <= 1.0:
-        raise PolicyError(f"cost must lie in [0,1], got {cost}")
 
 
 class NormalizedEG(NodePolicy):
@@ -172,7 +183,8 @@ class NormalizedEG(NodePolicy):
             raise PolicyError("need one cost per child")
         theta = self.theta
         for j, y in enumerate(child_costs):
-            _check_cost(y)
+            if not 0.0 <= y <= 1.0:
+                raise PolicyError(f"cost must lie in [0,1], got {y}")
             theta[j] -= y
         self._dist = None
 
@@ -201,12 +213,11 @@ class EpsilonExp3(NodePolicy):
         return self._soft
 
     def distribution(self) -> list[float]:
-        if self._dist is None:
-            soft = self.exploit_probs()
-            eps = self.epsilon
-            floor = eps / self.n_children
-            self._dist = [floor + (1.0 - eps) * p for p in soft]
-        return self._dist
+        return [self.prob(j) for j in range(self.n_children)]
+
+    def prob(self, child: int) -> float:
+        eps = self.epsilon
+        return eps / self.n_children + (1.0 - eps) * (self._soft or self.exploit_probs())[child]
 
     def select(self, rng) -> ModeDraw:
         if rng.random() < self.epsilon:
@@ -214,18 +225,26 @@ class EpsilonExp3(NodePolicy):
             if child == self.n_children:  # guard the measure-zero edge
                 child -= 1
             return self._uniform_draws[child]
-        return self._exploit_draws[_draw_index(self.exploit_probs(), rng)]
+        # _draw_index over the softmax, inline
+        u = rng.random()
+        acc = 0.0
+        for j, p in enumerate(self._soft or self.exploit_probs()):
+            acc += p
+            if u < acc:
+                return self._exploit_draws[j]
+        return self._exploit_draws[-1]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if receive_prob <= 0.0:
             raise PolicyError(f"receive probability must be positive, got {receive_prob}")
-        _check_cost(cost)
+        if not 0.0 <= cost <= 1.0:
+            raise PolicyError(f"cost must lie in [0,1], got {cost}")
         if cost == 0.0:
             return
         if draw.mode == "U":
             dec = cost * self.n_children / receive_prob
         elif draw.mode == "E":
-            p = self.exploit_probs()[draw.child]
+            p = (self._soft or self.exploit_probs())[draw.child]
             if p < PROB_FLOOR:
                 raise NumericalError(
                     f"exploit-mode probability underflowed ({p!r}) for child {draw.child}"
@@ -235,7 +254,6 @@ class EpsilonExp3(NodePolicy):
             raise PolicyError(f"unknown mode {draw.mode!r}")
         self.theta[draw.child] -= dec
         self._soft = None
-        self._dist = None
 
     def set_params(self, eta: float, epsilon: float) -> None:
         if eta <= 0.0:
@@ -245,12 +263,10 @@ class EpsilonExp3(NodePolicy):
         self.eta = eta
         self.epsilon = epsilon
         self._soft = None
-        self._dist = None
 
     def reset(self) -> None:
         self.theta = [0.0] * self.n_children
         self._soft = None
-        self._dist = None
 
 
 def anytime_segment(t: int) -> tuple[int, bool]:
@@ -307,27 +323,44 @@ class Exp3Baseline(NodePolicy):
         self.eta = eta
         self.gamma = gamma
         self.theta = [0.0] * n_children
-        self._dist: list[float] | None = None
+        self._soft: list[float] | None = None
+
+    def _softmax(self) -> list[float]:
+        if self._soft is None:
+            self._soft = stable_softmax(self.theta, self.eta)
+        return self._soft
 
     def distribution(self) -> list[float]:
-        if self._dist is None:
-            soft = stable_softmax(self.theta, self.eta)
-            g = self.gamma
-            floor = g / self.n_children
-            self._dist = [floor + (1.0 - g) * p for p in soft]
-        return self._dist
+        return [self.prob(j) for j in range(self.n_children)]
+
+    def prob(self, child: int) -> float:
+        g = self.gamma
+        return g / self.n_children + (1.0 - g) * (self._soft or self._softmax())[child]
+
+    def select(self, rng) -> ModeDraw:
+        # _draw_index over distribution(), its entries made on the fly
+        g = self.gamma
+        floor = g / self.n_children
+        u = rng.random()
+        acc = 0.0
+        for j, p in enumerate(self._soft or self._softmax()):
+            acc += floor + (1.0 - g) * p
+            if u < acc:
+                return self._draws[j]
+        return self._draws[-1]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
-        _check_cost(cost)
+        if not 0.0 <= cost <= 1.0:
+            raise PolicyError(f"cost must lie in [0,1], got {cost}")
         if cost == 0.0:
             return
-        p = self.distribution()[draw.child]
+        p = self.prob(draw.child)
         if p < PROB_FLOOR:
             raise NumericalError(
                 f"choice probability underflowed ({p!r}) for child {draw.child}"
             )
         self.theta[draw.child] -= cost / p
-        self._dist = None
+        self._soft = None
 
 
 class StationaryPolicy(NodePolicy):

@@ -29,6 +29,7 @@ class TreeTopology:
     parent: tuple[int, ...] = field(init=False, repr=False)
     depth_of: tuple[int, ...] = field(init=False, repr=False)
     leaves: tuple[int, ...] = field(init=False, repr=False)
+    non_leaves: tuple[int, ...] = field(init=False, repr=False)
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -61,18 +62,16 @@ class TreeTopology:
             missing = [i for i in range(n) if depth_of[i] == -1]
             raise TopologyError(f"nodes unreachable from root: {missing}")
         leaves = tuple(i for i in range(n) if not self.children[i])
+        non_leaves = tuple(i for i in range(n) if self.children[i])
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth_of", tuple(depth_of))
         object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "non_leaves", non_leaves)
         object.__setattr__(self, "depth", max(depth_of[i] for i in leaves))
 
     @property
     def node_count(self) -> int:
         return len(self.children)
-
-    @property
-    def non_leaves(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.node_count) if self.children[i])
 
     @property
     def max_fanout(self) -> int:

@@ -116,7 +116,7 @@ class TestEpsilonExp3Select:
     def test_mixture_marginal_frozen_example(self):
         pol = EpsilonExp3(2, eta=1.0, epsilon=0.2)
         pol.theta = [0.0, -10.0]
-        pol._soft = pol._dist = None
+        pol._soft = None
         want = 0.2 * 0.5 + 0.8 / (1.0 + math.exp(-10.0))
         assert_allclose(pol.distribution()[0], want, rtol=1e-12)
         assert_allclose(pol.distribution()[0], 0.89997, atol=1e-4)
@@ -124,7 +124,7 @@ class TestEpsilonExp3Select:
     def test_select_frequencies_match_marginals(self):
         pol = EpsilonExp3(3, eta=0.8, epsilon=0.3)
         pol.theta = [0.0, -1.0, -2.5]
-        pol._soft = pol._dist = None
+        pol._soft = None
         rng = np.random.default_rng(12)
         n = 200_000
         counts = np.zeros(3)
@@ -141,7 +141,7 @@ class TestEpsilonExp3Select:
     def test_epsilon_floor(self):
         pol = EpsilonExp3(4, eta=2.0, epsilon=0.1)
         pol.theta = [0.0, -50.0, -90.0, -200.0]
-        pol._soft = pol._dist = None
+        pol._soft = None
         x = pol.distribution()
         assert all(v >= 0.1 / 4 - 1e-15 for v in x)
         assert_allclose(sum(x), 1.0, atol=1e-12)
@@ -173,7 +173,7 @@ class TestEpsilonExp3Update:
         eta = 1.0
         pol = EpsilonExp3(2, eta=eta, epsilon=0.2)
         pol.theta = [0.0, -10.0]
-        pol._soft = pol._dist = None
+        pol._soft = None
         pol.update(ModeDraw("E", 1), cost=1.0, receive_prob=0.25)
         want = (math.exp(0.0) + math.exp(-10.0)) / (0.25 * math.exp(-10.0))
         assert_allclose(pol.theta[1], -10.0 - want, rtol=1e-12)
@@ -196,7 +196,7 @@ class TestEpsilonExp3Update:
     def test_underflow_guard_raises(self):
         pol = EpsilonExp3(2, eta=1.0, epsilon=0.0)
         pol.theta = [0.0, -800.0]
-        pol._soft = pol._dist = None
+        pol._soft = None
         with pytest.raises(NumericalError):
             pol.update(ModeDraw("E", 1), cost=1.0, receive_prob=1.0)
 
@@ -222,7 +222,7 @@ class TestEstimatorMoments:
             for mode, out in (("U", dec_u), ("E", dec_e)):
                 probe = EpsilonExp3(pol.n_children, pol.eta, pol.epsilon)
                 probe.theta = list(pol.theta)
-                probe._soft = probe._dist = None
+                probe._soft = None
                 probe.update(ModeDraw(mode, j), cost=y[j], receive_prob=v)
                 out[j] = pol.theta[j] - probe.theta[j]
         return dec_u, dec_e
@@ -238,7 +238,7 @@ class TestEstimatorMoments:
                 epsilon=float(rng.uniform(0.05, 0.9)),
             )
             pol.theta = list(-rng.uniform(0.0, 4.0, size=k))
-            pol._soft = pol._dist = None
+            pol._soft = None
             v = float(rng.uniform(0.1, 1.0))
             y = rng.uniform(0.05, 1.0, size=k)
             soft = np.array(pol.exploit_probs())
@@ -317,7 +317,7 @@ class TestExp3Baseline:
         rng = np.random.default_rng(77)
         pol = Exp3Baseline(3, eta=0.3, gamma=0.15)
         pol.theta = [-1.0, 0.0, -2.0]
-        pol._dist = None
+        pol._soft = None
         x = np.array(pol.distribution())
         y = np.array([0.9, 0.4, 0.6])
         n = 200_000
@@ -330,7 +330,7 @@ class TestExp3Baseline:
     def test_gamma_floor(self):
         pol = Exp3Baseline(2, eta=5.0, gamma=0.1)
         pol.theta = [0.0, -100.0]
-        pol._dist = None
+        pol._soft = None
         assert pol.distribution()[1] >= 0.05 - 1e-15
 
 

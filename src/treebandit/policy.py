@@ -217,7 +217,7 @@ class EpsilonExp3(NodePolicy):
 
     def prob(self, child: int) -> float:
         eps = self.epsilon
-        return eps / self.n_children + (1.0 - eps) * (self._soft or self.exploit_probs())[child]
+        return eps / self.n_children + (1.0 - eps) * self.exploit_probs()[child]
 
     def select(self, rng) -> ModeDraw:
         if rng.random() < self.epsilon:
@@ -228,7 +228,7 @@ class EpsilonExp3(NodePolicy):
         # _draw_index over the softmax, inline
         u = rng.random()
         acc = 0.0
-        for j, p in enumerate(self._soft or self.exploit_probs()):
+        for j, p in enumerate(self.exploit_probs()):
             acc += p
             if u < acc:
                 return self._exploit_draws[j]
@@ -244,7 +244,7 @@ class EpsilonExp3(NodePolicy):
         if draw.mode == "U":
             dec = cost * self.n_children / receive_prob
         elif draw.mode == "E":
-            p = (self._soft or self.exploit_probs())[draw.child]
+            p = self.exploit_probs()[draw.child]
             if p < PROB_FLOOR:
                 raise NumericalError(
                     f"exploit-mode probability underflowed ({p!r}) for child {draw.child}"
@@ -335,7 +335,7 @@ class Exp3Baseline(NodePolicy):
 
     def prob(self, child: int) -> float:
         g = self.gamma
-        return g / self.n_children + (1.0 - g) * (self._soft or self._softmax())[child]
+        return g / self.n_children + (1.0 - g) * self._softmax()[child]
 
     def select(self, rng) -> ModeDraw:
         # _draw_index over distribution(), its entries made on the fly
@@ -343,7 +343,7 @@ class Exp3Baseline(NodePolicy):
         floor = g / self.n_children
         u = rng.random()
         acc = 0.0
-        for j, p in enumerate(self._soft or self._softmax()):
+        for j, p in enumerate(self._softmax()):
             acc += floor + (1.0 - g) * p
             if u < acc:
                 return self._draws[j]

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from treebandit.env import CostEnvironment
-from treebandit.policy import ModeDraw, NodePolicy
+from treebandit.policy import ModeDraw, NodePolicy, anytime_segment
 from treebandit.topology import TreeTopology
 
 
@@ -362,10 +362,11 @@ class Simulation:
         realized = []
         for i in range(n):
             t = t0 + i
-            if anytime and (t & (t - 1)) == 0:
-                m = t.bit_length() - 1
-                for node in self.topology.non_leaves:
-                    self._pols[node].start_segment(m)
+            if anytime:
+                m, boundary = anytime_segment(t)
+                if boundary:
+                    for node in self.topology.non_leaves:
+                        self._pols[node].start_segment(m)
             if trace is not None:
                 trace.observe(t, self._trace_probs(t, watch_idx))
             cost, hops = route(t, block, i)

@@ -3,8 +3,7 @@
 Loads a YAML experiment config (or a bundled scenario), validates it
 exhaustively, runs every (policy, horizon, seed) combination on a fresh
 engine, and aggregates time-average regret into diff-stable CSV tables.
-Also provides the asymptotic trend curve and log-log slope fits used to
-check regret growth rates.
+Also provides the log-log slope fit used to check regret growth rates.
 
 Determinism contract: a run is keyed by (master_seed, T, seed index); the
 environment stream and every node stream derive from that key, so re-running
@@ -691,23 +690,6 @@ def run_experiment(
 
 # --------------------------------------------------------------------------
 # analysis
-
-
-def asymptotic_trend(
-    time_avg_by_T: dict[int, float], L: int, anchor_T: int
-) -> list[tuple[int, float]]:
-    """Reference decay curve R / T^{1/(L+1)} anchored at a measured point.
-
-    R is set so the curve passes exactly through the measurement at
-    anchor_T; the returned curve covers every horizon in the input.
-    """
-    if anchor_T not in time_avg_by_T:
-        raise HarnessError(f"anchor T={anchor_T} not in the measured grid")
-    if L < 1:
-        raise HarnessError(f"L must be >= 1, got {L}")
-    power = 1.0 / (L + 1)
-    R = time_avg_by_T[anchor_T] * anchor_T**power
-    return [(T, R / T**power) for T in sorted(time_avg_by_T)]
 
 
 def fit_loglog_slope(points, with_flags: bool = False):

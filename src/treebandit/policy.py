@@ -16,6 +16,15 @@ positions, for trace emission and the expected-cost recursion.
 ``prob(child)`` returns one entry of it, the same float, without building
 the list: the engine multiplies it into the receive probability at every
 hop.
+
+The three learners share one exponential-weights learner,
+``_SoftmaxPolicy``: scores ``theta``, rate ``eta``, the cached softmax, and
+its ``prob``/``distribution``/``select``. Each supplies only its uniform
+floor ``mix`` and its update: ``EpsilonExp3`` mixes in ``epsilon`` (and
+splits its draw into modes U and E) and ``Exp3Baseline`` mixes in
+``gamma``, both learning through ``update``; ``NormalizedEG`` mixes in
+nothing and learns through ``observe_all``. The fixed policies share
+``_FixedPolicy``, which ignores all feedback.
 """
 
 from __future__ import annotations
@@ -115,17 +124,6 @@ def stable_softmax(theta, eta: float) -> list[float]:
     return exps
 
 
-def _draw_index(probs, rng) -> int:
-    u = rng.random()
-    acc = 0.0
-    last = len(probs) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return last
-
-
 class NodePolicy:
     """Base class; subclasses override the methods their feedback model uses."""
 
@@ -146,7 +144,13 @@ class NodePolicy:
         return self.distribution()[child]
 
     def select(self, rng) -> ModeDraw:
-        return self._draws[_draw_index(self.distribution(), rng)]
+        u = rng.random()
+        acc = 0.0
+        for j, p in enumerate(self.distribution()):
+            acc += p
+            if u < acc:
+                return self._draws[j]
+        return self._draws[-1]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         raise PolicyError(f"{type(self).__name__} does not accept bandit feedback")
@@ -158,38 +162,80 @@ class NodePolicy:
         pass
 
 
-class NormalizedEG(NodePolicy):
-    """Exponential weights under complete one-hop feedback.
+class _SoftmaxPolicy(NodePolicy):
+    """Exponential weights with a uniform floor: child j is drawn with
+    probability ``mix / K + (1 - mix) * softmax(eta * theta)_j``.
+
+    Subclasses pass in their mix and supply the feedback method that lowers
+    ``theta`` (and then clears ``_soft``).
+    """
+
+    def __init__(self, n_children: int, eta: float, mix: float) -> None:
+        super().__init__(n_children)
+        self.theta = [0.0] * n_children
+        self.set_params(eta, mix)
+
+    def set_params(self, eta: float, mix: float) -> None:
+        if eta <= 0.0:
+            raise PolicyError(f"eta must be positive, got {eta}")
+        if not 0.0 <= mix <= 1.0:
+            raise PolicyError(f"mixing rate must lie in [0,1], got {mix}")
+        self.eta = eta
+        self.mix = mix
+        self._soft: list[float] | None = None
+
+    def exploit_probs(self) -> list[float]:
+        """softmax(eta * theta), cached until theta or eta changes."""
+        if self._soft is None:
+            self._soft = stable_softmax(self.theta, self.eta)
+        return self._soft
+
+    def distribution(self) -> list[float]:
+        return [self.prob(j) for j in range(self.n_children)]
+
+    def prob(self, child: int) -> float:
+        mix = self.mix
+        return mix / self.n_children + (1.0 - mix) * self.exploit_probs()[child]
+
+    def select(self, rng) -> ModeDraw:
+        return self._scan(rng, self.mix, self._draws)
+
+    def _scan(self, rng, mix: float, draws) -> ModeDraw:
+        """Inverse-CDF draw over the mixed softmax, its entries made on the
+        fly; with mix 0.0 each entry is the softmax float itself."""
+        floor = mix / self.n_children
+        u = rng.random()
+        acc = 0.0
+        for j, p in enumerate(self.exploit_probs()):
+            acc += floor + (1.0 - mix) * p
+            if u < acc:
+                return draws[j]
+        return draws[-1]
+
+
+class NormalizedEG(_SoftmaxPolicy):
+    """Exponential weights under complete one-hop feedback, with no floor.
 
     Each round the node observes every child's realized would-be cost and
     subtracts it from that child's score; selection is softmax(eta * theta).
     """
 
     def __init__(self, n_children: int, eta: float) -> None:
-        super().__init__(n_children)
-        if eta <= 0.0:
-            raise PolicyError(f"eta must be positive, got {eta}")
-        self.eta = eta
-        self.theta = [0.0] * n_children
-        self._dist: list[float] | None = None
-
-    def distribution(self) -> list[float]:
-        if self._dist is None:
-            self._dist = stable_softmax(self.theta, self.eta)
-        return self._dist
+        super().__init__(n_children, eta, 0.0)
 
     def observe_all(self, child_costs) -> None:
         if len(child_costs) != self.n_children:
             raise PolicyError("need one cost per child")
-        theta = self.theta
-        for j, y in enumerate(child_costs):
+        for y in child_costs:
             if not 0.0 <= y <= 1.0:
                 raise PolicyError(f"cost must lie in [0,1], got {y}")
+        theta = self.theta
+        for j, y in enumerate(child_costs):
             theta[j] -= y
-        self._dist = None
+        self._soft = None
 
 
-class EpsilonExp3(NodePolicy):
+class EpsilonExp3(_SoftmaxPolicy):
     """Epsilon-mixed EXP3 under end-to-end bandit feedback.
 
     With probability epsilon the node enters uniform mode U (educating its
@@ -201,38 +247,21 @@ class EpsilonExp3(NodePolicy):
     """
 
     def __init__(self, n_children: int, eta: float, epsilon: float) -> None:
-        super().__init__(n_children)
-        self.theta = [0.0] * n_children
+        super().__init__(n_children, eta, epsilon)
         self._uniform_draws = _mode_draws("U", n_children)
         self._exploit_draws = _mode_draws("E", n_children)
-        self.set_params(eta, epsilon)
 
-    def exploit_probs(self) -> list[float]:
-        if self._soft is None:
-            self._soft = stable_softmax(self.theta, self.eta)
-        return self._soft
-
-    def distribution(self) -> list[float]:
-        return [self.prob(j) for j in range(self.n_children)]
-
-    def prob(self, child: int) -> float:
-        eps = self.epsilon
-        return eps / self.n_children + (1.0 - eps) * self.exploit_probs()[child]
+    @property
+    def epsilon(self) -> float:
+        return self.mix
 
     def select(self, rng) -> ModeDraw:
-        if rng.random() < self.epsilon:
+        if rng.random() < self.mix:
             child = int(rng.random() * self.n_children)
             if child == self.n_children:  # guard the measure-zero edge
                 child -= 1
             return self._uniform_draws[child]
-        # _draw_index over the softmax, inline
-        u = rng.random()
-        acc = 0.0
-        for j, p in enumerate(self.exploit_probs()):
-            acc += p
-            if u < acc:
-                return self._exploit_draws[j]
-        return self._exploit_draws[-1]
+        return self._scan(rng, 0.0, self._exploit_draws)
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if receive_prob <= 0.0:
@@ -253,19 +282,6 @@ class EpsilonExp3(NodePolicy):
         else:
             raise PolicyError(f"unknown mode {draw.mode!r}")
         self.theta[draw.child] -= dec
-        self._soft = None
-
-    def set_params(self, eta: float, epsilon: float) -> None:
-        if eta <= 0.0:
-            raise PolicyError(f"eta must be positive, got {eta}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise PolicyError(f"epsilon must lie in [0,1], got {epsilon}")
-        self.eta = eta
-        self.epsilon = epsilon
-        self._soft = None
-
-    def reset(self) -> None:
-        self.theta = [0.0] * self.n_children
         self._soft = None
 
 
@@ -303,11 +319,11 @@ class AnytimeEpsilonExp3(EpsilonExp3):
         params = default_params(
             1 << m, self._depth, self._max_fanout, self._children_all_leaves
         )
-        self.reset()
+        self.theta = [0.0] * self.n_children
         self.set_params(params.eta, params.epsilon)
 
 
-class Exp3Baseline(NodePolicy):
+class Exp3Baseline(_SoftmaxPolicy):
     """Independent per-node EXP3: each node learns as if its children were
     plain bandit arms, importance-weighting by its OWN choice probability
     only. No receive-probability correction and no education mode — the
@@ -315,39 +331,11 @@ class Exp3Baseline(NodePolicy):
     """
 
     def __init__(self, n_children: int, eta: float, gamma: float) -> None:
-        super().__init__(n_children)
-        if eta <= 0.0:
-            raise PolicyError(f"eta must be positive, got {eta}")
-        if not 0.0 <= gamma <= 1.0:
-            raise PolicyError(f"gamma must lie in [0,1], got {gamma}")
-        self.eta = eta
-        self.gamma = gamma
-        self.theta = [0.0] * n_children
-        self._soft: list[float] | None = None
+        super().__init__(n_children, eta, gamma)
 
-    def _softmax(self) -> list[float]:
-        if self._soft is None:
-            self._soft = stable_softmax(self.theta, self.eta)
-        return self._soft
-
-    def distribution(self) -> list[float]:
-        return [self.prob(j) for j in range(self.n_children)]
-
-    def prob(self, child: int) -> float:
-        g = self.gamma
-        return g / self.n_children + (1.0 - g) * self._softmax()[child]
-
-    def select(self, rng) -> ModeDraw:
-        # _draw_index over distribution(), its entries made on the fly
-        g = self.gamma
-        floor = g / self.n_children
-        u = rng.random()
-        acc = 0.0
-        for j, p in enumerate(self._softmax()):
-            acc += floor + (1.0 - g) * p
-            if u < acc:
-                return self._draws[j]
-        return self._draws[-1]
+    @property
+    def gamma(self) -> float:
+        return self.mix
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if not 0.0 <= cost <= 1.0:
@@ -363,8 +351,22 @@ class Exp3Baseline(NodePolicy):
         self._soft = None
 
 
-class StationaryPolicy(NodePolicy):
-    """Always forwards to one fixed child; ignores all feedback."""
+class _FixedPolicy(NodePolicy):
+    """A policy that never learns: it ignores all feedback, and its
+    distribution is the list ``_dist``."""
+
+    def distribution(self) -> list[float]:
+        return self._dist
+
+    def update(self, draw, cost, receive_prob) -> None:
+        pass
+
+    def observe_all(self, child_costs) -> None:
+        pass
+
+
+class StationaryPolicy(_FixedPolicy):
+    """Always forwards to one fixed child."""
 
     def __init__(self, n_children: int, child: int) -> None:
         super().__init__(n_children)
@@ -373,40 +375,22 @@ class StationaryPolicy(NodePolicy):
         self.child = child
         self._dist = [1.0 if j == child else 0.0 for j in range(n_children)]
 
-    def distribution(self) -> list[float]:
-        return self._dist
-
     def select(self, rng) -> ModeDraw:
         return self._draws[self.child]
 
-    def update(self, draw, cost, receive_prob) -> None:
-        pass
 
-    def observe_all(self, child_costs) -> None:
-        pass
-
-
-class UniformRandomPolicy(NodePolicy):
-    """Forwards uniformly at random forever; ignores all feedback."""
+class UniformRandomPolicy(_FixedPolicy):
+    """Forwards uniformly at random forever."""
 
     def __init__(self, n_children: int) -> None:
         super().__init__(n_children)
         self._dist = [1.0 / n_children] * n_children
-
-    def distribution(self) -> list[float]:
-        return self._dist
 
     def select(self, rng) -> ModeDraw:
         child = int(rng.random() * self.n_children)
         if child == self.n_children:
             child -= 1
         return self._draws[child]
-
-    def update(self, draw, cost, receive_prob) -> None:
-        pass
-
-    def observe_all(self, child_costs) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -430,7 +414,7 @@ def exp_decay_forward_prob(q: float) -> Callable[[float], float]:
     return lambda gap: base * math.exp(-gap)
 
 
-class OraclePolicy(NodePolicy):
+class OraclePolicy(_FixedPolicy):
     """Two-child policy that knows its children's expected costs.
 
     The engine refreshes the expected costs each round (for a non-leaf
@@ -464,9 +448,3 @@ class OraclePolicy(NodePolicy):
         if self._dist is None:
             raise PolicyError("expected child costs not supplied this round")
         return self._dist
-
-    def update(self, draw, cost, receive_prob) -> None:
-        pass
-
-    def observe_all(self, child_costs) -> None:
-        pass

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from treebandit import engine
 from treebandit.engine import (
     EngineError,
     FeedbackModel,
@@ -415,6 +416,38 @@ class TestAnytimeBroadcast:
         sim.run_round(8)  # boundary: reset happens before the round's draw
         nonzero = [th for th in pol.theta if th != 0.0]
         assert len(nonzero) == 1  # exactly the round-8 decrement survives
+
+    @pytest.mark.parametrize("block_elements", [engine.BLOCK_ELEMENTS, 4, 12])
+    def test_restarts_exactly_at_powers_of_two(self, block_elements, monkeypatch):
+        # 4 leaves: one block of 40 rounds, blocks of 1 round, or of 3 rounds
+        # (so rounds 2, 8, 16 and 32 fall inside a block)
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block_elements)
+        topo = build_uniform_tree(2, 2)
+        policies = uniform_tree_policies(
+            topo, lambda k: AnytimeEpsilonExp3(k, depth=2, max_fanout=2,
+                                               children_all_leaves=False))
+        rounds_done = [0]
+        calls = []
+        root_select = policies[0].select
+
+        def counting_select(rng):  # the root selects once per bandit round
+            rounds_done[0] += 1
+            return root_select(rng)
+
+        def spy(node, start):
+            def start_segment(m):
+                calls.append((rounds_done[0] + 1, node, m))
+                start(m)
+            return start_segment
+
+        policies[0].select = counting_select
+        for node, pol in policies.items():
+            pol.start_segment = spy(node, pol.start_segment)
+        sim = Simulation(topo, policies, FixedCostEnv([0.5] * 4),
+                         FeedbackModel.END_TO_END_BANDIT, (2,))
+        sim.run(40)
+        assert rounds_done[0] == 40
+        assert calls == [(1 << m, node, m) for m in range(6) for node in topo.non_leaves]
 
     def test_fixed_horizon_policies_see_no_broadcast(self):
         topo = build_uniform_tree(2, 1)

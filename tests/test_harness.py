@@ -1,5 +1,5 @@
 """Harness tests: config validation, bundled scenarios, factories,
-experiment aggregation, trend/slope analysis, and CSV output."""
+experiment aggregation, slope analysis, and CSV output."""
 
 import math
 import os
@@ -23,7 +23,6 @@ from treebandit.harness import (
     ExperimentConfig,
     HarnessError,
     SeedResult,
-    asymptotic_trend,
     build_env,
     build_policies,
     build_topology,
@@ -625,23 +624,6 @@ def test_traces_only_collected_when_requested():
 
 # --------------------------------------------------------------------------
 # analysis
-
-
-def test_asymptotic_trend_anchored_examples():
-    measured = {10**4: 0.08, 10**6: 0.05}
-    trend = asymptotic_trend(measured, L=2, anchor_T=10**4)
-    assert trend[0] == (10**4, pytest.approx(0.08))
-    assert trend[1] == (10**6, pytest.approx(0.08 * 10 ** (-2 / 3)))
-    assert trend[1][1] == pytest.approx(0.017235477)
-    values = [v for _, v in trend]
-    assert values == sorted(values, reverse=True)
-
-
-def test_asymptotic_trend_errors():
-    with pytest.raises(HarnessError, match="anchor"):
-        asymptotic_trend({100: 0.1}, L=2, anchor_T=10)
-    with pytest.raises(HarnessError, match="L must be"):
-        asymptotic_trend({100: 0.1}, L=0, anchor_T=100)
 
 
 def test_fit_loglog_slope_recovers_power_laws():

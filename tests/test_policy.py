@@ -79,7 +79,7 @@ class TestNormalizedEG:
     def test_shift_invariance(self):
         pol = NormalizedEG(3, eta=0.3)
         pol.theta = [-5.0, -5.0, -5.0]
-        pol._dist = None
+        pol._soft = None
         assert_allclose(pol.distribution(), [1 / 3] * 3, atol=1e-15)
 
     def test_iterated_equals_closed_form(self):
@@ -97,10 +97,16 @@ class TestNormalizedEG:
 
     def test_rejects_out_of_range_costs(self):
         pol = NormalizedEG(2, eta=0.5)
-        with pytest.raises(PolicyError):
-            pol.observe_all([0.5, 1.5])
-        with pytest.raises(PolicyError):
-            pol.observe_all([-0.1, 0.5])
+        pol.observe_all([0.25, 0.0])
+        theta, dist = list(pol.theta), pol.distribution()
+        for costs in ([0.5, 1.5], [-0.1, 0.5], [1.0, 1.5], [0.5, float("nan")]):
+            with pytest.raises(PolicyError):
+                pol.observe_all(costs)
+            # a rejected round changes neither the scores nor the cache
+            assert pol.theta == theta
+            assert pol.distribution() == dist
+            pol._soft = None
+            assert pol.distribution() == dist
 
     def test_rejects_bandit_feedback(self):
         with pytest.raises(PolicyError):

@@ -7,8 +7,8 @@ Three properties keep that change invisible in the outputs:
 - ``stable_softmax`` equals, bit for bit, the list-comprehension softmax it
   replaced, written out here as a reference;
 - every policy's ``prob(child)`` equals ``distribution()[child]``, and for
-  the softmax policies both equal the list the parent's ``distribution()``
-  built;
+  the three softmax policies both equal the list the parent's
+  ``distribution()`` built from the reference softmax;
 - ``select`` draws the same child in the same mode as the parent's
   ``distribution()`` + ``select()`` pair, and leaves its stream at the same
   position as a twin stream that pair used.
@@ -85,7 +85,10 @@ def uniform_child(rng, k):
 
 
 def parent_distribution(pol):
-    """The list the parent's ``distribution()`` built for a softmax policy."""
+    """The list the parent's ``distribution()`` built for a softmax policy;
+    exponential weights mix in no floor, so theirs was the softmax itself."""
+    if isinstance(pol, NormalizedEG):
+        return reference_softmax(pol.theta, pol.eta)
     mix = pol.epsilon if isinstance(pol, EpsilonExp3) else pol.gamma
     floor = mix / pol.n_children
     return [floor + (1.0 - mix) * p for p in reference_softmax(pol.theta, pol.eta)]
@@ -101,7 +104,7 @@ def parent_select(pol, rng):
         return ModeDraw(None, pol.child)
     if isinstance(pol, UniformRandomPolicy):
         return ModeDraw(None, uniform_child(rng, pol.n_children))
-    if isinstance(pol, Exp3Baseline):
+    if isinstance(pol, (Exp3Baseline, NormalizedEG)):
         return ModeDraw(None, reference_draw_index(parent_distribution(pol), rng))
     return ModeDraw(None, reference_draw_index(pol.distribution(), rng))
 
@@ -178,7 +181,7 @@ def test_prob_is_the_distribution_entry(case):
         x = pol.distribution()
         assert pol.prob(d.child) == x[d.child]
         assert [pol.prob(j) for j in range(pol.n_children)] == x
-        if isinstance(pol, (EpsilonExp3, Exp3Baseline)):
+        if isinstance(pol, (EpsilonExp3, Exp3Baseline, NormalizedEG)):
             assert x == parent_distribution(pol)
         if visit(pol, rng, cost, v, child_costs, expected) is None:
             break

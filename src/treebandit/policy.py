@@ -198,19 +198,17 @@ class _SoftmaxPolicy(NodePolicy):
         return mix / self.n_children + (1.0 - mix) * self.exploit_probs()[child]
 
     def select(self, rng) -> ModeDraw:
-        return self._scan(rng, self.mix, self._draws)
-
-    def _scan(self, rng, mix: float, draws) -> ModeDraw:
-        """Inverse-CDF draw over the mixed softmax, its entries made on the
-        fly; with mix 0.0 each entry is the softmax float itself."""
+        # inverse CDF of distribution(), its entries made on the fly
+        mix = self.mix
         floor = mix / self.n_children
+        scale = 1.0 - mix
         u = rng.random()
         acc = 0.0
         for j, p in enumerate(self.exploit_probs()):
-            acc += floor + (1.0 - mix) * p
+            acc += floor + scale * p
             if u < acc:
-                return draws[j]
-        return draws[-1]
+                return self._draws[j]
+        return self._draws[-1]
 
 
 class NormalizedEG(_SoftmaxPolicy):
@@ -261,7 +259,14 @@ class EpsilonExp3(_SoftmaxPolicy):
             if child == self.n_children:  # guard the measure-zero edge
                 child -= 1
             return self._uniform_draws[child]
-        return self._scan(rng, 0.0, self._exploit_draws)
+        # the softmax's CDF, inline: a shared scan would cost a call per visit
+        u = rng.random()
+        acc = 0.0
+        for j, p in enumerate(self.exploit_probs()):
+            acc += p
+            if u < acc:
+                return self._exploit_draws[j]
+        return self._exploit_draws[-1]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if receive_prob <= 0.0:

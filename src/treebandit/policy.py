@@ -179,7 +179,7 @@ class _SoftmaxPolicy(NodePolicy):
         if eta <= 0.0:
             raise PolicyError(f"eta must be positive, got {eta}")
         if not 0.0 <= mix <= 1.0:
-            raise PolicyError(f"mixing rate must lie in [0,1], got {mix}")
+            raise PolicyError(f"mixing rate (epsilon or gamma) must lie in [0,1], got {mix}")
         self.eta = eta
         self.mix = mix
         self._soft: list[float] | None = None

@@ -22,6 +22,10 @@ Two feedback models:
 
 Communication per hop is two scalars (v down, cost up); the recursion's
 call boundary stands in for the message exchange.
+
+Policies that require expected costs (the oracle) get them once per round,
+after any segment restart and before the trace and the routing, from one
+recursion of w from the root over the start-of-round distributions.
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ class Simulation:
         order = sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n])
         self._non_leaves_deep_first = tuple(order)
         self._anytime = any(policies[n].anytime for n in topology.non_leaves)
-        self._exp_cache: tuple[int, np.ndarray] | None = None
+        self._oracle = any(policies[n].requires_expected_costs for n in topology.non_leaves)
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
     # -- per-round machinery -------------------------------------------------
@@ -242,20 +246,17 @@ class Simulation:
             )
         return block
 
-    def _expected_costs(self, t: int) -> np.ndarray:
-        if self._exp_cache is None or self._exp_cache[0] != t:
-            self._exp_cache = (t, self.env.expected_costs(t))
-        return self._exp_cache[1]
-
-    def _w(self, node: int, t: int, memo: dict[int, float]) -> float:
+    def _w(self, node: int, expected: np.ndarray, memo: dict[int, float]) -> float:
+        """w of ``node`` under the leaf means ``expected``; on the way up,
+        every expected-cost policy in the subtree is given its children's w."""
         got = memo.get(node)
         if got is not None:
             return got
         kids = self._children[node]
         if not kids:
-            val = float(self._expected_costs(t)[self._leaf_pos[node]])
+            val = float(expected[self._leaf_pos[node]])
         else:
-            child_ws = [self._w(c, t, memo) for c in kids]
+            child_ws = [self._w(c, expected, memo) for c in kids]
             pol = self._pols[node]
             if pol.requires_expected_costs:
                 pol.set_expected_costs(child_ws)
@@ -270,10 +271,10 @@ class Simulation:
         """w[node, t]: expected realized cost of a job arriving at ``node``
         now, under every descendant's current distribution."""
         self.topology._check(node)
-        return self._w(node, t, {})
+        return self._w(node, self.env.expected_costs(t), {})
 
-    def _bandit_round(self, t: int, block: np.ndarray, i: int):
-        """Route round t's job on the costs in row i and update the path.
+    def _bandit_round(self, block: np.ndarray, i: int):
+        """Route a job on the costs in block row i and update the path.
 
         Returns the realized cost and the hops: (node, draw, receive prob)
         for each node on the path, ending with (leaf, None, its prob)."""
@@ -281,16 +282,11 @@ class Simulation:
         pols = self._pols
         rngs = self._node_rngs
         hops = []
-        memo = None
         node = 0
         v = 1.0
         kids = children[0]
         while kids:
             pol = pols[node]
-            if pol.requires_expected_costs:
-                if memo is None:
-                    memo = {}
-                pol.set_expected_costs([self._w(c, t, memo) for c in kids])
             draw = pol.select(rngs[node])
             hops.append((node, draw, v))
             child = draw.child
@@ -303,20 +299,15 @@ class Simulation:
         hops.append((node, None, v))
         return realized, hops
 
-    def _complete_round(self, t: int, block: np.ndarray, i: int):
+    def _complete_round(self, block: np.ndarray, i: int):
         """Every non-leaf selects and observes all its children's would-be
         costs (row i); returns what ``_bandit_round`` returns."""
         n = self.topology.node_count
         chosen_child = [-1] * n
         chosen_prob = [0.0] * n
         draws: dict[int, ModeDraw] = {}
-        memo: dict[int, float] = {}
         for node in self.topology.non_leaves:
             pol = self._pols[node]
-            if pol.requires_expected_costs:
-                pol.set_expected_costs(
-                    [self._w(c, t, memo) for c in self._children[node]]
-                )
             draw = pol.select(self._node_rngs[node])
             draws[node] = draw
             chosen_child[node] = self._children[node][draw.child]
@@ -341,17 +332,6 @@ class Simulation:
         hops.append((node, None, v))
         return y[0], hops
 
-    def _trace_probs(self, t: int, watch_idx) -> list[float]:
-        memo: dict[int, float] = {}
-        probs = []
-        for node, idx in watch_idx:
-            pol = self._pols[node]
-            if pol.requires_expected_costs:
-                # the oracle's distribution follows this round's expected costs
-                pol.set_expected_costs([self._w(c, t, memo) for c in self._children[node]])
-            probs.append(pol.distribution()[idx])
-        return probs
-
     def _run_block(self, t0: int, n: int, trace=None, watch_idx=()):
         """Run rounds t0..t0+n-1 on one block of environment costs; returns
         the last round's realized cost and hops."""
@@ -367,9 +347,11 @@ class Simulation:
                 if boundary:
                     for node in self.topology.non_leaves:
                         self._pols[node].start_segment(m)
+            if self._oracle:
+                self._w(0, self.env.expected_costs(t), {})
             if trace is not None:
-                trace.observe(t, self._trace_probs(t, watch_idx))
-            cost, hops = route(t, block, i)
+                trace.observe(t, [self._pols[n].prob(j) for n, j in watch_idx])
+            cost, hops = route(block, i)
             realized.append(cost)
         self.ledger.record(realized, block)
         return cost, hops
@@ -377,7 +359,9 @@ class Simulation:
     # -- public API ------------------------------------------------------------
 
     def run_round(self, t: int) -> RoundOutcome:
-        """Execute round t and report what happened."""
+        """Execute round t (t >= 1) and report what happened."""
+        if t < 1:
+            raise EngineError(f"round must be >= 1, got {t}")
         realized, hops = self._run_block(t, 1)
         modes = None
         if self.feedback is FeedbackModel.END_TO_END_BANDIT:
@@ -393,7 +377,7 @@ class Simulation:
         watch_idx = []
         if trace is not None:
             for node, child in trace.watched:
-                if node >= self.topology.node_count or self._pols[node] is None:
+                if not 0 <= node < self.topology.node_count or self._pols[node] is None:
                     raise EngineError(f"watched node {node} is not a non-leaf node")
                 if child not in self._children[node]:
                     raise EngineError(f"watched pair ({node},{child}) is not an edge")

@@ -751,17 +751,14 @@ def write_trace_csv(path: str, rows) -> None:
     )
 
 
-def write_outputs(results: ExperimentResults, out_dir: str, per_seed: bool = True) -> list[str]:
+def write_outputs(results: ExperimentResults, out_dir: str) -> list[str]:
     """Write every output table for a finished experiment; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(results_path, results.aggregates)
-    written.append(results_path)
-    if per_seed:
-        seed_path = os.path.join(out_dir, "per_seed.csv")
-        write_per_seed_csv(seed_path, results.seed_rows)
-        written.append(seed_path)
+    seed_path = os.path.join(out_dir, "per_seed.csv")
+    write_per_seed_csv(seed_path, results.seed_rows)
+    written = [results_path, seed_path]
     for (label, T) in sorted(results.traces):
         trace_path = os.path.join(out_dir, f"trace_{label}_T{T}.csv")
         write_trace_csv(trace_path, results.traces[(label, T)])

@@ -422,8 +422,9 @@ def exp_decay_forward_prob(q: float) -> Callable[[float], float]:
 class OraclePolicy(_FixedPolicy):
     """Two-child policy that knows its children's expected costs.
 
-    The engine refreshes the expected costs each round (for a non-leaf
-    child that is its current conditional expected cost); the policy then
+    The engine refreshes the expected costs once per round, after segment
+    restarts and before the trace and the routing (for a non-leaf child
+    that is its current conditional expected cost); the policy then
     forwards to the worse child with probability P(gap). It never learns.
     """
 

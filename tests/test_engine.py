@@ -29,6 +29,7 @@ from treebandit.policy import (
     UniformRandomPolicy,
     constant_forward_prob,
     default_params,
+    exp_decay_forward_prob,
 )
 from treebandit.topology import build_chain_tree, build_uniform_tree
 
@@ -88,6 +89,19 @@ class TestConstruction:
         sim = make_bandit_sim(topo, [0.5, 0.5], lambda k: UniformRandomPolicy(k))
         with pytest.raises(EngineError, match="horizon"):
             sim.run(-1)
+
+    @pytest.mark.parametrize("t", [0, -1])
+    @pytest.mark.parametrize("factory", [
+        lambda k: EpsilonExp3(k, eta=0.1, epsilon=0.2),
+        lambda k: AnytimeEpsilonExp3(k, depth=1, max_fanout=2, children_all_leaves=True),
+    ], ids=["eps_exp3", "anytime"])
+    def test_round_before_the_first_rejected(self, factory, t):
+        topo = build_uniform_tree(2, 1)
+        sim = make_bandit_sim(topo, [0.5, 0.5], factory)
+        with pytest.raises(EngineError, match=f"round must be >= 1, got {t}"):
+            sim.run_round(t)
+        assert sim.ledger.rounds_elapsed == 0
+        assert sim.policies[0].theta == [0.0, 0.0]
 
 
 class TestReceiveProbabilities:
@@ -385,6 +399,60 @@ class TestOracleWiring:
         assert sim.ledger.cumulative_algorithm_cost == pytest.approx(2.0)
 
 
+    @pytest.mark.parametrize("feedback, watched", [
+        (FeedbackModel.END_TO_END_BANDIT, ()),
+        (FeedbackModel.COMPLETE_ONE_HOP, ()),
+        (FeedbackModel.END_TO_END_BANDIT, ((0, 1), (2, 5))),
+    ], ids=["bandit", "one_hop", "bandit_traced"])
+    def test_each_oracle_gets_expected_costs_once_per_round(
+            self, feedback, watched, monkeypatch):
+        topo = build_chain_tree(3)
+        env = LowerBoundChainEnv(3, 0.05)
+        params = OracleParams(exp_decay_forward_prob(0.3))
+        policies = {n: OraclePolicy(2, params) for n in topo.non_leaves}
+        node_of = {id(pol): n for n, pol in policies.items()}
+        round_now = [None]
+        calls = []
+        env_expected = env.expected_costs
+        oracle_set = OraclePolicy.set_expected_costs
+
+        def expected_costs(t):
+            round_now[0] = t
+            return env_expected(t)
+
+        def set_expected_costs(pol, child_costs):
+            calls.append((round_now[0], node_of[id(pol)]))
+            oracle_set(pol, child_costs)
+
+        monkeypatch.setattr(env, "expected_costs", expected_costs)
+        monkeypatch.setattr(OraclePolicy, "set_expected_costs", set_expected_costs)
+        sim = Simulation(topo, policies, env, feedback, (4,))
+        trace = TraceRecorder(window=5, watched=watched) if watched else None
+        sim.run(30, trace=trace)
+        assert sorted(calls) == [(t, n) for t in range(1, 31) for n in topo.non_leaves]
+
+    def test_oracle_root_follows_its_learning_children(self):
+        topo = build_uniform_tree(2, 2)
+        means = [0.8, 0.2, 0.6, 0.4]
+        params = OracleParams(exp_decay_forward_prob(0.9))
+        root = OraclePolicy(2, params)
+        policies = {0: root, 1: EpsilonExp3(2, eta=0.5, epsilon=0.2),
+                    2: EpsilonExp3(2, eta=0.5, epsilon=0.2)}
+        sim = Simulation(topo, policies, BernoulliTreeEnv(means),
+                         FeedbackModel.END_TO_END_BANDIT, (6,))
+        reference = OraclePolicy(2, params)
+        for t in range(1, 201):
+            ws = []
+            for node in topo.children[0]:
+                w = 0.0
+                for p, leaf in zip(policies[node].distribution(), topo.children[node]):
+                    w += p * means[topo.leaves.index(leaf)]
+                ws.append(w)
+            reference.set_expected_costs(ws)
+            sim.run_round(t)
+            assert root.distribution() == reference.distribution()
+
+
 class TestAnytimeBroadcast:
     def test_segment_boundaries_reset_state_and_params(self):
         topo = build_uniform_tree(2, 2)
@@ -481,6 +549,14 @@ class TestTrace:
         sim = make_bandit_sim(topo, [0.5] * 4, lambda k: UniformRandomPolicy(k))
         with pytest.raises(EngineError, match="not an edge"):
             sim.run(10, trace=TraceRecorder(window=5, watched=((0, 5),)))
+
+    @pytest.mark.parametrize("node", [-3, -1, 1, 3])
+    def test_watched_node_must_be_a_non_leaf(self, node):
+        topo = build_uniform_tree(2, 1)
+        sim = make_bandit_sim(topo, [0.5, 0.5], lambda k: UniformRandomPolicy(k))
+        with pytest.raises(EngineError, match=f"watched node {node} is not a non-leaf node"):
+            sim.run(4, trace=TraceRecorder(window=2, watched=((node, 1),)))
+        assert sim.ledger.rounds_elapsed == 0
 
     def test_window_must_be_positive(self):
         with pytest.raises(EngineError, match="window"):

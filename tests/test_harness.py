@@ -702,13 +702,6 @@ def test_write_outputs_paths_and_trace_files(tmp_path):
     assert trace_lines[1:] == ["10,0,1,1.0", "20,0,1,1.0"]
 
 
-def test_write_outputs_can_skip_per_seed(tmp_path):
-    cfg = ExperimentConfig.from_dict(base_config(horizons=[5], seeds=1))
-    res = run_experiment(cfg)
-    written = write_outputs(res, str(tmp_path), per_seed=False)
-    assert [os.path.basename(p) for p in written] == ["results.csv"]
-
-
 def test_write_outputs_byte_identical_across_reruns(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config())
     blobs = []

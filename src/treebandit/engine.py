@@ -230,7 +230,9 @@ class Simulation:
         order = sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n])
         self._non_leaves_deep_first = tuple(order)
         self._anytime = any(policies[n].anytime for n in topology.non_leaves)
-        self._oracle = any(policies[n].requires_expected_costs for n in topology.non_leaves)
+        self._oracle = frozenset(
+            n for n in topology.non_leaves if policies[n].requires_expected_costs
+        )
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
     # -- per-round machinery -------------------------------------------------
@@ -247,8 +249,7 @@ class Simulation:
         return block
 
     def _w(self, node: int, expected: np.ndarray, memo: dict[int, float]) -> float:
-        """w of ``node`` under the leaf means ``expected``; on the way up,
-        every expected-cost policy in the subtree is given its children's w."""
+        """w of ``node`` under leaf means ``expected``; refreshes every oracle in its subtree."""
         got = memo.get(node)
         if got is not None:
             return got
@@ -258,7 +259,7 @@ class Simulation:
         else:
             child_ws = [self._w(c, expected, memo) for c in kids]
             pol = self._pols[node]
-            if pol.requires_expected_costs:
+            if node in self._oracle:
                 pol.set_expected_costs(child_ws)
             # left-to-right adds: sum() compensates from Python 3.12 on
             val = 0.0

@@ -23,9 +23,11 @@ Two feedback models:
 Communication per hop is two scalars (v down, cost up); the recursion's
 call boundary stands in for the message exchange.
 
-Policies that require expected costs (the oracle) get them once per round,
-after any segment restart and before the trace and the routing, from one
-recursion of w from the root over the start-of-round distributions.
+Policies that require expected costs (the oracle) get them from one
+recursion of w from the root over the start-of-round distributions, run
+after any segment restart and before the trace and the routing of each
+round in which its inputs may have changed: the environment returned a new
+expected-cost array, or some non-leaf's distribution is not fixed.
 """
 
 from __future__ import annotations
@@ -233,6 +235,13 @@ class Simulation:
         self._oracle = frozenset(
             n for n in topology.non_leaves if policies[n].requires_expected_costs
         )
+        self._all_fixed = all(policies[n].fixed for n in topology.non_leaves)
+        self._refreshed = None  # the expected costs of a refresh that still holds
+        # one-hop buffers: y holds non-leaf n's cost at n, leaf k's at node_count + k
+        slot = [n if k < 0 else topology.node_count + k for n, k in enumerate(self._leaf_pos)]
+        self._kid_slots = [tuple(slot[c] for c in kids) for kids in topology.children]
+        self._y = [0.0] * (topology.node_count + env.n_leaves)
+        self._drawn: list = [None] * topology.node_count
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
     # -- per-round machinery -------------------------------------------------
@@ -272,6 +281,7 @@ class Simulation:
         """w[node, t]: expected realized cost of a job arriving at ``node``
         now, under every descendant's current distribution."""
         self.topology._check(node)
+        self._refreshed = None  # the subtree's oracles now hold round t's costs
         return self._w(node, self.env.expected_costs(t), {})
 
     def _bandit_round(self, block: np.ndarray, i: int):
@@ -303,34 +313,31 @@ class Simulation:
     def _complete_round(self, block: np.ndarray, i: int):
         """Every non-leaf selects and observes all its children's would-be
         costs (row i); returns what ``_bandit_round`` returns."""
-        n = self.topology.node_count
-        chosen_child = [-1] * n
-        chosen_prob = [0.0] * n
-        draws: dict[int, ModeDraw] = {}
-        for node in self.topology.non_leaves:
-            pol = self._pols[node]
-            draw = pol.select(self._node_rngs[node])
-            draws[node] = draw
-            chosen_child[node] = self._children[node][draw.child]
-            chosen_prob[node] = pol.prob(draw.child)
-        costs = block[i].tolist()
-        y = [0.0] * n
-        for leaf in self.topology.leaves:
-            y[leaf] = costs[self._leaf_pos[leaf]]
+        children = self._children
+        pols = self._pols
+        kid_slots = self._kid_slots
+        y = self._y
+        drawn = self._drawn
+        y[self.topology.node_count:] = block[i].tolist()
+        # children before parents, so each node copies its chosen child's final y
         for node in self._non_leaves_deep_first:
-            y[node] = y[chosen_child[node]]
-        for node in self.topology.non_leaves:
-            self._pols[node].observe_all(
-                [y[c] for c in self._children[node]]
-            )
+            draw = pols[node].select(self._node_rngs[node])
+            drawn[node] = draw
+            y[node] = y[kid_slots[node][draw.child]]
+        # receive probabilities come from the distributions before any update
         hops = []
         node = 0
         v = 1.0
-        while chosen_child[node] != -1:
-            hops.append((node, draws[node], v))
-            v = v * chosen_prob[node]
-            node = chosen_child[node]
+        kids = children[0]
+        while kids:
+            draw = drawn[node]
+            hops.append((node, draw, v))
+            v = v * pols[node].prob(draw.child)
+            node = kids[draw.child]
+            kids = children[node]
         hops.append((node, None, v))
+        for node in self._non_leaves_deep_first:
+            pols[node].observe_all([y[s] for s in kid_slots[node]])
         return y[0], hops
 
     def _run_block(self, t0: int, n: int, trace=None, watch_idx=()):
@@ -349,7 +356,10 @@ class Simulation:
                     for node in self.topology.non_leaves:
                         self._pols[node].start_segment(m)
             if self._oracle:
-                self._w(0, self.env.expected_costs(t), {})
+                expected = self.env.expected_costs(t)
+                if expected is not self._refreshed:
+                    self._w(0, expected, {})
+                    self._refreshed = expected if self._all_fixed else None
             if trace is not None:
                 trace.observe(t, [self._pols[n].prob(j) for n, j in watch_idx])
             cost, hops = route(block, i)

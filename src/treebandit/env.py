@@ -44,6 +44,9 @@ class CostEnvironment:
         return np.stack([self.costs(t + i, rng) for i in range(n)])
 
     def expected_costs(self, t: int) -> np.ndarray:
+        """Leaf means at round ``t``. Returning the same array object as at
+        an earlier round promises the same values, so the engine may skip
+        the recursion that uses them; a new object makes it recompute."""
         raise EnvError(f"{type(self).__name__} does not define expected costs")
 
 
@@ -83,6 +86,7 @@ class BernoulliTreeEnv(CostEnvironment):
             raise EnvError("Bernoulli means must lie in [0,1]")
         self.n_leaves = int(p.size)
         self._pre = p.copy()
+        self._pre.flags.writeable = False
         if shift_round is not None:
             if shift_round < 1:
                 raise EnvError(f"shift_round must be >= 1, got {shift_round}")
@@ -92,9 +96,10 @@ class BernoulliTreeEnv(CostEnvironment):
                 raise EnvError(f"shift_leaf {shift_leaf} out of range")
             post = p.copy()
             post[shift_leaf] = 0.0
+            post.flags.writeable = False
             self._post = post
         else:
-            self._post = p.copy()
+            self._post = self._pre
         self.shift_round = shift_round
         self.shift_leaf = shift_leaf
 
@@ -140,6 +145,7 @@ class LowerBoundChainEnv(CostEnvironment):
         self.depth = depth
         self.delta = delta
         self.means = np.asarray(ladder + deep, dtype=np.float64)
+        self.means.flags.writeable = False
         self.n_leaves = int(self.means.size)
         self.min_expected_cost = low
 

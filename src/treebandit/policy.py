@@ -129,6 +129,7 @@ class NodePolicy:
 
     requires_expected_costs = False
     anytime = False
+    fixed = False  # True: the distribution changes only in set_expected_costs
 
     def __init__(self, n_children: int) -> None:
         if n_children < 1:
@@ -360,6 +361,8 @@ class _FixedPolicy(NodePolicy):
     """A policy that never learns: it ignores all feedback, and its
     distribution is the list ``_dist``."""
 
+    fixed = True
+
     def distribution(self) -> list[float]:
         return self._dist
 
@@ -422,10 +425,10 @@ def exp_decay_forward_prob(q: float) -> Callable[[float], float]:
 class OraclePolicy(_FixedPolicy):
     """Two-child policy that knows its children's expected costs.
 
-    The engine refreshes the expected costs once per round, after segment
-    restarts and before the trace and the routing (for a non-leaf child
-    that is its current conditional expected cost); the policy then
-    forwards to the worse child with probability P(gap). It never learns.
+    The engine refreshes the expected costs before the trace and the routing
+    of each round in which they may have changed (for a non-leaf child they
+    are its current conditional expected cost); the policy then forwards to
+    the worse child with probability P(gap). It never learns.
     """
 
     requires_expected_costs = True

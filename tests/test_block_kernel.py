@@ -8,6 +8,11 @@ the block to the regret ledger at once. Two properties keep that invisible:
   the block methods replaced);
 - ``Simulation.run(T)`` leaves the same ledger, policy scores and trace as
   ``run_round`` called once per round, whatever the block size.
+
+A third property covers the oracle's expected-cost refresh, which the
+engine skips while neither the means nor any distribution under it can
+have changed: the run equals one whose environment hands out a new array
+every round, and so is refreshed every round.
 """
 
 from unittest import mock
@@ -43,7 +48,10 @@ from treebandit.policy import (  # noqa: E402
     NormalizedEG,
     OracleParams,
     OraclePolicy,
+    StationaryPolicy,
+    UniformRandomPolicy,
     constant_forward_prob,
+    exp_decay_forward_prob,
 )
 from treebandit.topology import build_chain_tree, build_uniform_tree  # noqa: E402
 
@@ -233,3 +241,91 @@ def test_nan_deep_inside_a_block_names_its_round():
     assert sim._block_rounds > 777
     with pytest.raises(EngineError, match=r"NaN at round 777$"):
         sim.run(1000)
+
+
+# --------------------------------------------------------------------------
+# the oracle's expected-cost refresh
+
+
+class FreshArrays(CostEnvironment):
+    """``env`` handing out a new, equal expected-cost array at every call,
+    which obliges the engine to refresh the oracles every round."""
+
+    def __init__(self, env):
+        self.env = env
+        self.n_leaves = env.n_leaves
+
+    def costs_block(self, t, n, rng):
+        return self.env.costs_block(t, n, rng)
+
+    def expected_costs(self, t):
+        return self.env.expected_costs(t).copy()
+
+
+def oracle_tree_sim(env_kind, shift_round, kinds, feedback, fresh, entropy):
+    """An oracle root over nodes 1 and 2 of the fanout-2, depth-2 tree,
+    each an oracle, a fixed policy or a learner."""
+    topo = build_uniform_tree(2, 2)
+    if env_kind == "chain":
+        env = LowerBoundChainEnv(3, 0.05)
+    else:
+        env = BernoulliTreeEnv([0.9, 0.3, 0.6, 0.2], shift_round=shift_round)
+    if fresh:
+        env = FreshArrays(env)
+    params = OracleParams(exp_decay_forward_prob(0.8))
+    policies = {0: OraclePolicy(2, params)}
+    for node, kind in zip((1, 2), kinds):
+        if kind == "oracle":
+            policies[node] = OraclePolicy(2, params)
+        elif kind == "stationary":
+            policies[node] = StationaryPolicy(2, 1)
+        elif kind == "uniform":
+            policies[node] = UniformRandomPolicy(2)
+        elif feedback is FeedbackModel.COMPLETE_ONE_HOP:
+            policies[node] = NormalizedEG(2, eta=0.4)
+        elif kind == "eps_exp3":
+            policies[node] = EpsilonExp3(2, eta=0.3, epsilon=0.2)
+        else:
+            policies[node] = AnytimeEpsilonExp3(2, 2, 2, children_all_leaves=True)
+    return Simulation(topo, policies, env, feedback, entropy)
+
+
+NODE_KINDS = ["oracle", "stationary", "uniform", "eps_exp3", "anytime_eps_exp3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    env_kind=st.sampled_from(["bernoulli", "chain"]),
+    shift_round=st.integers(1, 70),
+    kinds=st.tuples(st.sampled_from(NODE_KINDS), st.sampled_from(NODE_KINDS)),
+    one_hop=st.booleans(),
+    fresh=st.booleans(),
+    T=st.integers(1, 60),
+    block_rounds=st.integers(1, 40),
+    window=st.one_of(st.none(), st.integers(1, 6)),
+    seed=st.integers(0, 2**31),
+)
+def test_skipped_refresh_equals_refresh_every_round(
+        env_kind, shift_round, kinds, one_hop, fresh, T, block_rounds, window, seed):
+    feedback = FeedbackModel.COMPLETE_ONE_HOP if one_hop else FeedbackModel.END_TO_END_BANDIT
+    entropy = (seed, T)
+    sims = []
+    for every_round in (False, True):
+        # 4 leaves: blocks of block_rounds rounds
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", 4 * block_rounds):
+            sim = oracle_tree_sim(env_kind, shift_round, kinds, feedback,
+                                  fresh or every_round, entropy)
+        trace = None
+        if window is not None:
+            trace = TraceRecorder(window=window, watched=((0, 1), (1, 3), (2, 6)))
+        sim.run(T, trace=trace)
+        sims.append((sim, trace))
+    (cached, cached_trace), (reference, reference_trace) = sims
+    assert cached.ledger.cumulative_algorithm_cost == reference.ledger.cumulative_algorithm_cost
+    assert np.array_equal(cached.ledger.cumulative_leaf_costs,
+                          reference.ledger.cumulative_leaf_costs)
+    assert policy_state(cached) == policy_state(reference)
+    for node in cached.topology.non_leaves:
+        assert cached.policies[node].distribution() == reference.policies[node].distribution()
+    if window is not None:
+        assert cached_trace.rows == reference_trace.rows

@@ -212,6 +212,20 @@ class TestOneHopSemantics:
         assert out.realized_cost == pytest.approx(0.1)
         assert len(out.path) == 3
 
+    def test_receive_probs_come_from_start_of_round_distributions(self):
+        # every node learns each round, so a v read after the updates differs
+        topo = build_uniform_tree(3, 2)
+        policies = uniform_tree_policies(topo, lambda k: NormalizedEG(k, 0.7))
+        sim = Simulation(topo, policies, BernoulliTreeEnv(np.linspace(0.9, 0.1, 9)),
+                         FeedbackModel.COMPLETE_ONE_HOP, (8,))
+        for t in range(1, 51):
+            snapshot = {n: policies[n].distribution() for n in topo.non_leaves}
+            out = sim.run_round(t)
+            expect = [1.0]
+            for node, child in zip(out.path, out.path[1:]):
+                expect.append(expect[-1] * snapshot[node][topo.children[node].index(child)])
+            assert out.receive_probs == tuple(expect)
+
 
 class TestRegretLedger:
     def test_empty_ledger(self):
@@ -404,32 +418,65 @@ class TestOracleWiring:
         (FeedbackModel.COMPLETE_ONE_HOP, ()),
         (FeedbackModel.END_TO_END_BANDIT, ((0, 1), (2, 5))),
     ], ids=["bandit", "one_hop", "bandit_traced"])
-    def test_each_oracle_gets_expected_costs_once_per_round(
+    def test_oracles_set_when_their_inputs_may_have_changed(
             self, feedback, watched, monkeypatch):
+        # the depth-3 chain: non-leaves 0, 1, 2, leaves 3..6
         topo = build_chain_tree(3)
-        env = LowerBoundChainEnv(3, 0.05)
         params = OracleParams(exp_decay_forward_prob(0.3))
-        policies = {n: OraclePolicy(2, params) for n in topo.non_leaves}
-        node_of = {id(pol): n for n, pol in policies.items()}
-        round_now = [None]
-        calls = []
-        env_expected = env.expected_costs
+        if feedback is FeedbackModel.END_TO_END_BANDIT:
+            learner = EpsilonExp3(2, eta=0.3, epsilon=0.2)
+        else:
+            learner = NormalizedEG(2, eta=0.3)
+        cases = [
+            # constant means and only oracles: set once, at round 1
+            (LowerBoundChainEnv(3, 0.05), None, [1]),
+            # new means at the shift round: set once more, then
+            (BernoulliTreeEnv([0.9, 0.6, 0.4, 0.2], shift_round=12), None, [1, 12]),
+            # a learner's distribution moves every round, and the oracles
+            # above it read it
+            (LowerBoundChainEnv(3, 0.05), learner, range(1, 31)),
+        ]
         oracle_set = OraclePolicy.set_expected_costs
+        for env, learner_at_2, rounds in cases:
+            policies = {n: OraclePolicy(2, params) for n in topo.non_leaves}
+            if learner_at_2 is not None:
+                policies[2] = learner_at_2
+            node_of = {id(pol): n for n, pol in policies.items()}
+            round_now = [None]
+            calls = []
+            env_expected = env.expected_costs
 
-        def expected_costs(t):
-            round_now[0] = t
-            return env_expected(t)
+            def expected_costs(t, env_expected=env_expected, round_now=round_now):
+                round_now[0] = t
+                return env_expected(t)
 
-        def set_expected_costs(pol, child_costs):
-            calls.append((round_now[0], node_of[id(pol)]))
-            oracle_set(pol, child_costs)
+            def set_expected_costs(pol, child_costs, node_of=node_of,
+                                   round_now=round_now, calls=calls):
+                calls.append((round_now[0], node_of[id(pol)]))
+                oracle_set(pol, child_costs)
 
-        monkeypatch.setattr(env, "expected_costs", expected_costs)
-        monkeypatch.setattr(OraclePolicy, "set_expected_costs", set_expected_costs)
-        sim = Simulation(topo, policies, env, feedback, (4,))
-        trace = TraceRecorder(window=5, watched=watched) if watched else None
-        sim.run(30, trace=trace)
-        assert sorted(calls) == [(t, n) for t in range(1, 31) for n in topo.non_leaves]
+            monkeypatch.setattr(env, "expected_costs", expected_costs)
+            monkeypatch.setattr(OraclePolicy, "set_expected_costs", set_expected_costs)
+            sim = Simulation(topo, policies, env, feedback, (4,))
+            trace = TraceRecorder(window=5, watched=watched) if watched else None
+            sim.run(30, trace=trace)
+            oracles = [n for n in topo.non_leaves if isinstance(policies[n], OraclePolicy)]
+            assert sorted(calls) == [(t, n) for t in rounds for n in oracles]
+
+    def test_no_stale_oracle_after_conditional_expected_cost(self):
+        # conditional_expected_cost at a post-shift round sets the oracle
+        # from the post-shift means; the next round must set it back
+        env = BernoulliTreeEnv([0.9, 0.2], shift_round=5)
+        root = OraclePolicy(2, OracleParams(exp_decay_forward_prob(0.9)))
+        sim = Simulation(build_uniform_tree(2, 1), {0: root}, env,
+                         FeedbackModel.END_TO_END_BANDIT, (3,))
+        sim.run_round(1)
+        pre_shift = list(root.distribution())
+        sim.conditional_expected_cost(0, 10)
+        assert root.distribution() != pre_shift
+        sim.run_round(2)
+        assert root.distribution() == pre_shift
+        assert root.distribution() == pytest.approx([0.4469, 0.5531], abs=1e-4)
 
     def test_oracle_root_follows_its_learning_children(self):
         topo = build_uniform_tree(2, 2)

@@ -132,6 +132,23 @@ class TestLowerBoundChainEnv:
         assert_within_binomial_ci(emp, env.means, n)
 
 
+@pytest.mark.parametrize("env, pre, post", [
+    (BernoulliTreeEnv([0.9, 0.5, 0.1]), [0.9, 0.5, 0.1], [0.9, 0.5, 0.1]),
+    (BernoulliTreeEnv([0.9, 0.5, 0.1], shift_round=4), [0.9, 0.5, 0.1], [0.0, 0.5, 0.1]),
+    (LowerBoundChainEnv(2, 0.125), [0.3125, 0.25, 0.75], [0.3125, 0.25, 0.75]),
+], ids=["bernoulli", "bernoulli_shifted", "chain"])
+def test_expected_costs_are_read_only(env, pre, post):
+    # the engine keeps what it computed from an expected-cost array while
+    # the same array comes back, so nothing may write into it
+    for t in (1, 3, 4, 9):
+        with pytest.raises(ValueError):
+            env.expected_costs(t)[0] = 0.5
+        assert env.expected_costs(t).tolist() == (pre if t < 4 else post)
+    u = np.random.default_rng(4).random((6, 3))
+    want = np.vstack((u[:3] < pre, u[3:] < post)).astype(np.float64)
+    assert np.array_equal(env.costs_block(1, 6, np.random.default_rng(4)), want)
+
+
 class TestHypoexponentialSurvival:
     def test_single_rate(self):
         assert_allclose(hypoexponential_survival(1.0, [2.0]), math.exp(-2.0), rtol=1e-10)

@@ -237,11 +237,12 @@ class Simulation:
         )
         self._all_fixed = all(policies[n].fixed for n in topology.non_leaves)
         self._refreshed = None  # the expected costs of a refresh that still holds
-        # one-hop buffers: y holds non-leaf n's cost at n, leaf k's at node_count + k
-        slot = [n if k < 0 else topology.node_count + k for n, k in enumerate(self._leaf_pos)]
-        self._kid_slots = [tuple(slot[c] for c in kids) for kids in topology.children]
-        self._y = [0.0] * (topology.node_count + env.n_leaves)
-        self._drawn: list = [None] * topology.node_count
+        if feedback is FeedbackModel.COMPLETE_ONE_HOP:
+            # y holds non-leaf n's cost at n and leaf k's at node_count + k
+            slot = [n if k < 0 else topology.node_count + k for n, k in enumerate(self._leaf_pos)]
+            self._kid_slots = [tuple([slot[c] for c in kids]) for kids in topology.children]
+            self._y = [0.0] * (topology.node_count + env.n_leaves)
+            self._drawn: list = [None] * topology.node_count
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
     # -- per-round machinery -------------------------------------------------

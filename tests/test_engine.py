@@ -436,27 +436,28 @@ class TestOracleWiring:
             # above it read it
             (LowerBoundChainEnv(3, 0.05), learner, range(1, 31)),
         ]
+        round_now = [None]
+        node_of = {}
+        calls = []
         oracle_set = OraclePolicy.set_expected_costs
+
+        def set_expected_costs(pol, child_costs):
+            calls.append((round_now[0], node_of[id(pol)]))
+            oracle_set(pol, child_costs)
+
+        monkeypatch.setattr(OraclePolicy, "set_expected_costs", set_expected_costs)
         for env, learner_at_2, rounds in cases:
             policies = {n: OraclePolicy(2, params) for n in topo.non_leaves}
             if learner_at_2 is not None:
                 policies[2] = learner_at_2
             node_of = {id(pol): n for n, pol in policies.items()}
-            round_now = [None]
-            calls = []
-            env_expected = env.expected_costs
+            calls.clear()
 
-            def expected_costs(t, env_expected=env_expected, round_now=round_now):
+            def expected_costs(t, read=env.expected_costs):
                 round_now[0] = t
-                return env_expected(t)
-
-            def set_expected_costs(pol, child_costs, node_of=node_of,
-                                   round_now=round_now, calls=calls):
-                calls.append((round_now[0], node_of[id(pol)]))
-                oracle_set(pol, child_costs)
+                return read(t)
 
             monkeypatch.setattr(env, "expected_costs", expected_costs)
-            monkeypatch.setattr(OraclePolicy, "set_expected_costs", set_expected_costs)
             sim = Simulation(topo, policies, env, feedback, (4,))
             trace = TraceRecorder(window=5, watched=watched) if watched else None
             sim.run(30, trace=trace)

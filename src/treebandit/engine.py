@@ -95,19 +95,10 @@ class RegretLedger:
         self.rounds_elapsed += len(leaf_costs)
 
     def optimal_stationary_cost(self) -> float:
-        if self.rounds_elapsed == 0:
-            return 0.0
         return float(self.cumulative_leaf_costs.min())
 
     def regret(self) -> float:
-        if self.rounds_elapsed == 0:
-            return 0.0
         return self.cumulative_algorithm_cost - self.optimal_stationary_cost()
-
-    def time_average_regret(self) -> float:
-        if self.rounds_elapsed == 0:
-            return 0.0
-        return self.regret() / self.rounds_elapsed
 
 
 @dataclass
@@ -387,16 +378,12 @@ class Simulation:
         if T < 0:
             raise EngineError(f"horizon must be >= 0, got {T}")
         watch_idx = []
-        if trace is not None:
-            for node, child in trace.watched:
-                if not 0 <= node < self.topology.node_count or self._pols[node] is None:
-                    raise EngineError(f"watched node {node} is not a non-leaf node")
-                if child not in self._children[node]:
-                    raise EngineError(f"watched pair ({node},{child}) is not an edge")
-            watch_idx = [
-                (node, self._children[node].index(child))
-                for node, child in trace.watched
-            ]
+        for node, child in trace.watched if trace is not None else ():
+            if not 0 <= node < self.topology.node_count or self._pols[node] is None:
+                raise EngineError(f"watched node {node} is not a non-leaf node")
+            if child not in self._children[node]:
+                raise EngineError(f"watched pair ({node},{child}) is not an edge")
+            watch_idx.append((node, self._children[node].index(child)))
         t = 1
         while t <= T:
             n = min(self._block_rounds, T - t + 1)

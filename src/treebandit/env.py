@@ -5,8 +5,8 @@ engine draws the vector exactly once per round and uses the same draw for
 both the algorithm's feedback (the reached leaf's entry) and the regret
 ledger (all entries). All environments here are oblivious: draws never
 depend on the algorithm's choices, so the engine fetches them a block of
-rounds at a time with ``costs_block``. A block holds exactly the values the
-rounds' own ``costs`` calls would have drawn, in the same order.
+rounds at a time with ``costs_block``. A block of n rounds holds exactly
+the values that n one-round blocks would have drawn, in the same order.
 
 Cost vectors are indexed by leaf position, i.e. ``vector[k]`` is the cost
 of ``topology.leaves[k]``.
@@ -27,21 +27,14 @@ class EnvError(ValueError):
 
 
 class CostEnvironment:
-    """Interface: ``costs(t, rng)`` or ``costs_block(t, n, rng)``, plus
-    optional ``expected_costs(t)``.
-
-    Each of the two draw methods defaults to the other, so a subclass
-    defines at least one of them.
-    """
+    """Interface: one draw method, ``costs_block(t, n, rng)``, which every
+    subclass defines, plus optional ``expected_costs(t)``."""
 
     n_leaves: int
 
-    def costs(self, t: int, rng: np.random.Generator) -> np.ndarray:
-        return self.costs_block(t, 1, rng)[0]
-
     def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Rows ``i = 0..n-1`` hold the cost vector of round ``t + i``."""
-        return np.stack([self.costs(t + i, rng) for i in range(n)])
+        raise NotImplementedError
 
     def expected_costs(self, t: int) -> np.ndarray:
         """Leaf means at round ``t``. Returning the same array object as at
@@ -347,7 +340,7 @@ class CsvMatrixEnv(CostEnvironment):
 
     Header names the leaf node ids, which must be the topology's leaves in
     order; row t (1-based) is the cost vector of round t. Costs are
-    deterministic, so expected_costs equals costs.
+    deterministic, so expected_costs equals the drawn costs.
     """
 
     def __init__(self, path: str) -> None:

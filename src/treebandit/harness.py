@@ -38,7 +38,6 @@ from treebandit.policy import (
     Exp3Baseline,
     NodePolicy,
     NormalizedEG,
-    OracleParams,
     OraclePolicy,
     StationaryPolicy,
     UniformRandomPolicy,
@@ -391,11 +390,11 @@ def _read_policy(
                     "must be 'horizon_tuned' or in [0,1]", "horizon_tuned")
 
         def make(node, K):
-            params = default_params(T, L, D, topology.children_all_leaves(node))
+            tuned_eta, tuned_eps = default_params(T, L, D, topology.children_all_leaves(node))
             return EpsilonExp3(
                 K,
-                eta=params.eta if eta == "horizon_tuned" else float(eta),
-                epsilon=params.epsilon if eps == "horizon_tuned" else float(eps),
+                eta=tuned_eta if eta == "horizon_tuned" else float(eta),
+                epsilon=tuned_eps if eps == "horizon_tuned" else float(eps),
             )
     elif name == "anytime_eps_exp3":
         def make(node, K):
@@ -432,17 +431,17 @@ def _read_policy(
     elif name == "stationary":
         leaf = r.get("leaf", lambda v: topology is None or (_is_int(v) and v in topology.leaves),
                      "must be a leaf of the topology")
-        route: set[int] = set()
-        if r.ok and topology is not None:
-            cur = leaf
-            while cur != -1:
-                route.add(cur)
-                cur = topology.parent[cur]
+        pins: dict[int, int] = {}  # route node -> position of the child toward leaf
+        cur = leaf if r.ok and topology is not None else 0
+        while cur != 0:
+            up = topology.parent[cur]
+            pins[up] = topology.children[up].index(cur)
+            cur = up
 
         def make(node, K):
             # Nodes off the root-to-leaf route never receive the job, so
             # their pinned child is arbitrary; position 0 keeps it valid.
-            return StationaryPolicy(K, topology.child_toward(node, leaf) if node in route else 0)
+            return StationaryPolicy(K, pins.get(node, 0))
     else:  # oracle_chain
         if topology is not None and topology.max_fanout != 2:
             r.fail("name", "oracle_chain needs binary non-leaf nodes")
@@ -454,7 +453,7 @@ def _read_policy(
         def make(node, K):
             q = T ** (-1.0 / L) if q_spec == "horizon_tuned" else float(q_spec)
             fn = constant_forward_prob(q) if profile == "constant" else exp_decay_forward_prob(q)
-            return OraclePolicy(K, OracleParams(fn))
+            return OraclePolicy(K, fn)
     r.finish()
     if not r.ok or topology is None or T is None:
         return None
@@ -591,14 +590,8 @@ class ExperimentResults:
 
     def regret_by_T(self, policy: str) -> dict[int, float]:
         """Mean TOTAL regret per horizon for one policy label."""
-        return {T: ta * T for T, ta in self.time_avg_by_T(policy).items()}
-
-    def time_avg_by_T(self, policy: str) -> dict[int, float]:
-        return {
-            row.T: row.mean_time_avg_regret
-            for row in self.aggregates
-            if row.policy == policy
-        }
+        return {row.T: row.mean_time_avg_regret * row.T
+                for row in self.aggregates if row.policy == policy}
 
 
 def run_one(
@@ -692,12 +685,8 @@ def run_experiment(
 # analysis
 
 
-def fit_loglog_slope(points, with_flags: bool = False):
-    """OLS slope of log(regret) against log(T).
-
-    Nonpositive regret values are floored at 1e-9 before taking logs; the
-    optional flags report which points were floored.
-    """
+def fit_loglog_slope(points) -> float:
+    """OLS slope of log(regret) against log(T); regrets below 1e-9 count as 1e-9."""
     pts = sorted((int(t), float(r)) for t, r in points)
     if len(pts) < 3:
         raise HarnessError(f"need at least 3 points to fit a slope, got {len(pts)}")
@@ -705,14 +694,9 @@ def fit_loglog_slope(points, with_flags: bool = False):
         raise HarnessError("every horizon must be positive")
     if len({t for t, _ in pts}) != len(pts):
         raise HarnessError("horizons must be distinct")
-    floor = 1e-9
-    flags = tuple(r < floor for _, r in pts)
     logt = np.log([t for t, _ in pts])
-    logr = np.log([max(r, floor) for _, r in pts])
-    slope = float(np.polyfit(logt, logr, 1)[0])
-    if with_flags:
-        return slope, flags
-    return slope
+    logr = np.log([max(r, 1e-9) for _, r in pts])
+    return float(np.polyfit(logt, logr, 1)[0])
 
 
 # --------------------------------------------------------------------------
@@ -732,35 +716,19 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-# The row dataclasses' fields are the columns, in order.
-
-
-def write_results_csv(path: str, aggregates: list[AggregateResult]) -> None:
-    _write_csv(path, [f.name for f in fields(AggregateResult)], map(astuple, aggregates))
-
-
-def write_per_seed_csv(path: str, rows: list[SeedResult]) -> None:
-    _write_csv(path, [f.name for f in fields(SeedResult)], map(astuple, rows))
-
-
-def write_trace_csv(path: str, rows) -> None:
-    _write_csv(
-        path,
-        ["round_window_end", "node_id", "child_id", "mean_selection_probability"],
-        rows,
-    )
-
-
 def write_outputs(results: ExperimentResults, out_dir: str) -> list[str]:
-    """Write every output table for a finished experiment; returns paths."""
+    """Write every output table for a finished experiment; returns paths.
+    A row dataclass's fields are its table's columns, in order."""
     os.makedirs(out_dir, exist_ok=True)
-    results_path = os.path.join(out_dir, "results.csv")
-    write_results_csv(results_path, results.aggregates)
-    seed_path = os.path.join(out_dir, "per_seed.csv")
-    write_per_seed_csv(seed_path, results.seed_rows)
-    written = [results_path, seed_path]
+    written = []
+    for name, cls, rows in (("results.csv", AggregateResult, results.aggregates),
+                            ("per_seed.csv", SeedResult, results.seed_rows)):
+        path = os.path.join(out_dir, name)
+        _write_csv(path, [f.name for f in fields(cls)], map(astuple, rows))
+        written.append(path)
     for (label, T) in sorted(results.traces):
-        trace_path = os.path.join(out_dir, f"trace_{label}_T{T}.csv")
-        write_trace_csv(trace_path, results.traces[(label, T)])
-        written.append(trace_path)
+        path = os.path.join(out_dir, f"trace_{label}_T{T}.csv")
+        _write_csv(path, ["round_window_end", "node_id", "child_id", "mean_selection_probability"],
+                   results.traces[(label, T)])
+        written.append(path)
     return written

@@ -52,12 +52,6 @@ class NumericalError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class PolicyParams:
-    eta: float
-    epsilon: float
-
-
-@dataclass(frozen=True)
 class ModeDraw:
     """Result of one selection: mode ("U" uniform, "E" exploit, or None
     for policies without a mode split) and the chosen child position."""
@@ -74,8 +68,8 @@ def _mode_draws(mode: str | None, n_children: int) -> tuple[ModeDraw, ...]:
     return tuple(ModeDraw(mode, j) for j in range(n_children))
 
 
-def default_params(T: int, L: int, D: int, children_all_leaves: bool) -> PolicyParams:
-    """Horizon-tuned parameters for the epsilon-mixed bandit policy.
+def default_params(T: int, L: int, D: int, children_all_leaves: bool) -> tuple[float, float]:
+    """Horizon-tuned ``(eta, epsilon)`` for the epsilon-mixed bandit policy.
 
     eta = T^(-L/(L+1)) everywhere; epsilon = 0 at nodes whose children are
     all leaves (they need no educating descendants), else D * T^(-1/(L+1))
@@ -89,7 +83,7 @@ def default_params(T: int, L: int, D: int, children_all_leaves: bool) -> PolicyP
         raise PolicyError(f"fanout must be >= 2, got {D}")
     eta = float(T) ** (-L / (L + 1.0))
     epsilon = 0.0 if children_all_leaves else min(1.0, D * float(T) ** (-1.0 / (L + 1.0)))
-    return PolicyParams(eta=eta, epsilon=epsilon)
+    return eta, epsilon
 
 
 def eg_default_eta(n_children: int, T: int) -> float:
@@ -315,18 +309,12 @@ class AnytimeEpsilonExp3(EpsilonExp3):
     anytime = True
 
     def __init__(self, n_children: int, depth: int, max_fanout: int, children_all_leaves: bool) -> None:
-        self._depth = depth
-        self._max_fanout = max_fanout
-        self._children_all_leaves = children_all_leaves
-        first = default_params(1, depth, max_fanout, children_all_leaves)
-        super().__init__(n_children, eta=first.eta, epsilon=first.epsilon)
+        self._shape = (depth, max_fanout, children_all_leaves)  # default_params' arguments after T
+        super().__init__(n_children, *default_params(1, *self._shape))
 
     def start_segment(self, m: int) -> None:
-        params = default_params(
-            1 << m, self._depth, self._max_fanout, self._children_all_leaves
-        )
         self.theta = [0.0] * self.n_children
-        self.set_params(params.eta, params.epsilon)
+        self.set_params(*default_params(1 << m, *self._shape))
 
 
 class Exp3Baseline(_SoftmaxPolicy):
@@ -401,15 +389,6 @@ class UniformRandomPolicy(_FixedPolicy):
         return self._draws[child]
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    """forward_prob_fn maps the absolute expected-cost gap to the
-    probability of forwarding to the HIGHER-cost child (weakly decreasing,
-    values in [0,1])."""
-
-    forward_prob_fn: Callable[[float], float]
-
-
 def constant_forward_prob(q: float) -> Callable[[float], float]:
     """P(gap) = min(1/2, q): constant in the gap, the canonical regime."""
     p = min(0.5, q)
@@ -428,16 +407,18 @@ class OraclePolicy(_FixedPolicy):
     The engine refreshes the expected costs before the trace and the routing
     of each round in which they may have changed (for a non-leaf child they
     are its current conditional expected cost); the policy then forwards to
-    the worse child with probability P(gap). It never learns.
+    the worse (higher-cost) child with probability ``forward_prob_fn(gap)``,
+    weakly decreasing in the absolute expected-cost gap, in [0,1]. It never
+    learns.
     """
 
     requires_expected_costs = True
 
-    def __init__(self, n_children: int, params: OracleParams) -> None:
+    def __init__(self, n_children: int, forward_prob_fn: Callable[[float], float]) -> None:
         super().__init__(n_children)
         if n_children != 2:
             raise PolicyError("oracle policy is defined for exactly 2 children")
-        self.params = params
+        self.forward_prob_fn = forward_prob_fn
         self._dist: list[float] | None = None
 
     def set_expected_costs(self, expected_child_costs) -> None:
@@ -445,7 +426,7 @@ class OraclePolicy(_FixedPolicy):
         if e0 == e1:
             self._dist = [0.5, 0.5]
             return
-        p_high = self.params.forward_prob_fn(abs(e1 - e0))
+        p_high = self.forward_prob_fn(abs(e1 - e0))
         if not 0.0 <= p_high <= 1.0:
             raise PolicyError(f"forward probability {p_high} outside [0,1]")
         if e1 > e0:

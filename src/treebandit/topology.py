@@ -94,17 +94,6 @@ class TreeTopology:
         except ValueError:
             raise TopologyError(f"node {leaf} is not a leaf") from None
 
-    def child_toward(self, node: int, leaf: int) -> int:
-        """Child position at ``node`` whose subtree contains ``leaf``."""
-        self._check(node)
-        self._check(leaf)
-        cur = leaf
-        while self.parent[cur] not in (node, -1):
-            cur = self.parent[cur]
-        if self.parent[cur] != node:
-            raise TopologyError(f"leaf {leaf} is not below node {node}")
-        return self.children[node].index(cur)
-
     def _check(self, node: int) -> None:
         if not (0 <= node < self.node_count):
             raise TopologyError(f"unknown node id {node}")

@@ -46,7 +46,6 @@ from treebandit.policy import (  # noqa: E402
     EpsilonExp3,
     Exp3Baseline,
     NormalizedEG,
-    OracleParams,
     OraclePolicy,
     StationaryPolicy,
     UniformRandomPolicy,
@@ -127,21 +126,9 @@ def test_costs_block_equals_per_round_draws(csv_env, kind, t, n, offset, seed):
     want = np.stack([per_round(env, t + i, rng) for i in range(n)])
     assert block.dtype == np.float64 and block.shape == want.shape
     assert np.array_equal(block, want)
-    # the single-round entry point is a one-row block
+    # n one-row blocks draw the same rows as one n-row block
     rng = np.random.default_rng(seed)
-    assert np.array_equal(np.stack([env.costs(t + i, rng) for i in range(n)]), want)
-
-
-def test_default_block_stacks_costs():
-    class CostsOnly(CostEnvironment):
-        n_leaves = 2
-
-        def costs(self, t, rng):
-            return np.array([t / 10.0, rng.random()])
-
-    rng = np.random.default_rng(3)
-    block = CostsOnly().costs_block(4, 3, np.random.default_rng(3))
-    assert np.array_equal(block, [[0.4, rng.random()], [0.5, rng.random()], [0.6, rng.random()]])
+    assert np.array_equal(np.stack([env.costs_block(t + i, 1, rng)[0] for i in range(n)]), want)
 
 
 def test_csv_block_past_the_last_row_names_the_first_missing_round(csv_env):
@@ -157,8 +144,7 @@ def build_sim(kind: str, feedback: FeedbackModel, depth: int, entropy):
     if kind == "oracle":
         topo = build_chain_tree(depth + 1)
         env = LowerBoundChainEnv(depth + 1, 2.0 ** -(depth + 3))
-        params = OracleParams(constant_forward_prob(0.2))
-        policies = {n: OraclePolicy(2, params) for n in topo.non_leaves}
+        policies = {n: OraclePolicy(2, constant_forward_prob(0.2)) for n in topo.non_leaves}
         return Simulation(topo, policies, env, feedback, entropy)
     topo = build_uniform_tree(2, 2 if kind == "mec" else depth)
     if kind == "mec":  # miss rates make the costs non-integer
@@ -272,11 +258,11 @@ def oracle_tree_sim(env_kind, shift_round, kinds, feedback, fresh, entropy):
         env = BernoulliTreeEnv([0.9, 0.3, 0.6, 0.2], shift_round=shift_round)
     if fresh:
         env = FreshArrays(env)
-    params = OracleParams(exp_decay_forward_prob(0.8))
-    policies = {0: OraclePolicy(2, params)}
+    forward = exp_decay_forward_prob(0.8)
+    policies = {0: OraclePolicy(2, forward)}
     for node, kind in zip((1, 2), kinds):
         if kind == "oracle":
-            policies[node] = OraclePolicy(2, params)
+            policies[node] = OraclePolicy(2, forward)
         elif kind == "stationary":
             policies[node] = StationaryPolicy(2, 1)
         elif kind == "uniform":

@@ -22,7 +22,6 @@ from treebandit.policy import (
     EpsilonExp3,
     Exp3Baseline,
     NormalizedEG,
-    OracleParams,
     OraclePolicy,
     PolicyError,
     StationaryPolicy,
@@ -54,8 +53,8 @@ class FixedCostEnv(CostEnvironment):
     def n_leaves(self):
         return len(self._vec)
 
-    def costs(self, t, rng):
-        return self._vec.copy()
+    def costs_block(self, t, n, rng):
+        return np.tile(self._vec, (n, 1))
 
     def expected_costs(self, t):
         return self._vec.copy()
@@ -231,7 +230,7 @@ class TestRegretLedger:
     def test_empty_ledger(self):
         led = RegretLedger(4)
         assert led.regret() == 0.0
-        assert led.time_average_regret() == 0.0
+        assert led.optimal_stationary_cost() == 0.0
 
     def test_stationary_on_best_leaf_has_zero_regret(self):
         # Deterministic costs: leaf 4 always costs 0, everything else 1.
@@ -251,7 +250,7 @@ class TestRegretLedger:
                          env, FeedbackModel.END_TO_END_BANDIT, (1,))
         led = sim.run(40)
         assert led.regret() == pytest.approx(40.0)
-        assert led.time_average_regret() == pytest.approx(1.0)
+        assert led.rounds_elapsed == 40
 
     def test_ledger_matches_round_outcomes(self):
         topo = build_uniform_tree(2, 2)
@@ -377,8 +376,8 @@ class TestConditionalExpectedCost:
             def n_leaves(self):
                 return 2
 
-            def costs(self, t, rng):
-                return (rng.random(2) < 0.5).astype(float)
+            def costs_block(self, t, n, rng):
+                return (rng.random((n, 2)) < 0.5).astype(float)
 
         topo = build_uniform_tree(2, 1)
         sim = Simulation(topo, {0: UniformRandomPolicy(2)}, DrawOnlyEnv(),
@@ -391,8 +390,8 @@ class TestOracleWiring:
     def test_oracle_chain_routes_with_expected_costs(self):
         topo = build_chain_tree(2)
         env = LowerBoundChainEnv(2, 0.1)
-        params = OracleParams(constant_forward_prob(0.3))
-        policies = {0: OraclePolicy(2, params), 1: OraclePolicy(2, params)}
+        forward = constant_forward_prob(0.3)
+        policies = {0: OraclePolicy(2, forward), 1: OraclePolicy(2, forward)}
         sim = Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, (4,))
         out = sim.run_round(1)
         assert out.path[0] == 0
@@ -406,7 +405,7 @@ class TestOracleWiring:
     def test_oracle_greedy_goes_to_cheap_leaf(self):
         topo = build_uniform_tree(2, 1)
         env = FixedCostEnv([0.9, 0.1])
-        pol = OraclePolicy(2, OracleParams(constant_forward_prob(0.0)))
+        pol = OraclePolicy(2, constant_forward_prob(0.0))
         sim = Simulation(topo, {0: pol}, env, FeedbackModel.END_TO_END_BANDIT, (4,))
         for t in range(1, 21):
             assert sim.run_round(t).path[-1] == 2
@@ -422,7 +421,7 @@ class TestOracleWiring:
             self, feedback, watched, monkeypatch):
         # the depth-3 chain: non-leaves 0, 1, 2, leaves 3..6
         topo = build_chain_tree(3)
-        params = OracleParams(exp_decay_forward_prob(0.3))
+        forward = exp_decay_forward_prob(0.3)
         if feedback is FeedbackModel.END_TO_END_BANDIT:
             learner = EpsilonExp3(2, eta=0.3, epsilon=0.2)
         else:
@@ -447,7 +446,7 @@ class TestOracleWiring:
 
         monkeypatch.setattr(OraclePolicy, "set_expected_costs", set_expected_costs)
         for env, learner_at_2, rounds in cases:
-            policies = {n: OraclePolicy(2, params) for n in topo.non_leaves}
+            policies = {n: OraclePolicy(2, forward) for n in topo.non_leaves}
             if learner_at_2 is not None:
                 policies[2] = learner_at_2
             node_of = {id(pol): n for n, pol in policies.items()}
@@ -468,7 +467,7 @@ class TestOracleWiring:
         # conditional_expected_cost at a post-shift round sets the oracle
         # from the post-shift means; the next round must set it back
         env = BernoulliTreeEnv([0.9, 0.2], shift_round=5)
-        root = OraclePolicy(2, OracleParams(exp_decay_forward_prob(0.9)))
+        root = OraclePolicy(2, exp_decay_forward_prob(0.9))
         sim = Simulation(build_uniform_tree(2, 1), {0: root}, env,
                          FeedbackModel.END_TO_END_BANDIT, (3,))
         sim.run_round(1)
@@ -482,13 +481,13 @@ class TestOracleWiring:
     def test_oracle_root_follows_its_learning_children(self):
         topo = build_uniform_tree(2, 2)
         means = [0.8, 0.2, 0.6, 0.4]
-        params = OracleParams(exp_decay_forward_prob(0.9))
-        root = OraclePolicy(2, params)
+        forward = exp_decay_forward_prob(0.9)
+        root = OraclePolicy(2, forward)
         policies = {0: root, 1: EpsilonExp3(2, eta=0.5, epsilon=0.2),
                     2: EpsilonExp3(2, eta=0.5, epsilon=0.2)}
         sim = Simulation(topo, policies, BernoulliTreeEnv(means),
                          FeedbackModel.END_TO_END_BANDIT, (6,))
-        reference = OraclePolicy(2, params)
+        reference = OraclePolicy(2, forward)
         for t in range(1, 201):
             ws = []
             for node in topo.children[0]:
@@ -515,11 +514,10 @@ class TestAnytimeBroadcast:
         sim = Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, (2,))
         sim.run(8)
         # last boundary at t = 8 loads parameters for segment length 2^3
-        want_root = default_params(8, 2, 2, False)
-        assert policies[0].eta == pytest.approx(want_root.eta)
-        assert policies[0].epsilon == pytest.approx(want_root.epsilon)
-        want_leafy = default_params(8, 2, 2, True)
-        assert policies[1].epsilon == want_leafy.epsilon == 0.0
+        root_eta, root_epsilon = default_params(8, 2, 2, False)
+        assert policies[0].eta == pytest.approx(root_eta)
+        assert policies[0].epsilon == pytest.approx(root_epsilon)
+        assert policies[1].epsilon == default_params(8, 2, 2, True)[1] == 0.0
 
     def test_theta_reset_at_boundary(self):
         topo = build_uniform_tree(2, 1)
@@ -624,7 +622,7 @@ class TestTrace:
         # so the trace must supply them before it reads one
         topo = build_uniform_tree(2, 1)
         env = FixedCostEnv([0.9, 0.1])
-        pol = OraclePolicy(2, OracleParams(constant_forward_prob(0.25)))
+        pol = OraclePolicy(2, constant_forward_prob(0.25))
         sim = Simulation(topo, {0: pol}, env, FeedbackModel.END_TO_END_BANDIT, (3,))
         trace = TraceRecorder(window=2, watched=((0, 1), (0, 2)))
         sim.run(4, trace=trace)
@@ -638,4 +636,4 @@ class TestBaselinePolicyWiring:
                               lambda k: Exp3Baseline(k, eta=0.05, gamma=0.1))
         led = sim.run(500)
         assert led.rounds_elapsed == 500
-        assert 0.0 <= led.time_average_regret() <= 1.0
+        assert 0.0 <= led.regret() / led.rounds_elapsed <= 1.0

@@ -23,7 +23,7 @@ def mc_mean_costs(env, t, n_draws, seed=0):
     rng = np.random.default_rng(seed)
     acc = np.zeros(env.n_leaves)
     for _ in range(n_draws):
-        acc += env.costs(t, rng)
+        acc += env.costs_block(t, 1, rng)[0]
     return acc / n_draws
 
 
@@ -41,7 +41,7 @@ class TestBernoulliTreeEnv:
         env = BernoulliTreeEnv([1.0, 0.5, 0.4, 0.2], shift_round=50)
         rng = np.random.default_rng(1)
         for t in range(1, 50):
-            c = env.costs(t, rng)
+            c = env.costs_block(t, 1, rng)[0]
             assert set(np.unique(c)) <= {0.0, 1.0}
             assert c[0] == 1.0  # certain-cost leaf before the shift
 
@@ -50,7 +50,7 @@ class TestBernoulliTreeEnv:
         assert env.shift_leaf == 0
         rng = np.random.default_rng(2)
         for t in range(50, 120):
-            assert env.costs(t, rng)[0] == 0.0
+            assert env.costs_block(t, 1, rng)[0, 0] == 0.0
         assert env.expected_costs(49)[0] == 1.0
         assert env.expected_costs(50)[0] == 0.0
 
@@ -77,8 +77,8 @@ class TestBernoulliTreeEnv:
 
     def test_replay_determinism(self):
         env = BernoulliTreeEnv([1.0, 0.5, 0.4, 0.2], shift_round=30)
-        a = [env.costs(t, np.random.default_rng(99)) for t in range(1, 6)]
-        b = [env.costs(t, np.random.default_rng(99)) for t in range(1, 6)]
+        a = [env.costs_block(t, 1, np.random.default_rng(99))[0] for t in range(1, 6)]
+        b = [env.costs_block(t, 1, np.random.default_rng(99))[0] for t in range(1, 6)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -192,7 +192,7 @@ class TestDeadlineLatencyEnv:
         rng = np.random.default_rng(3)
         for t in (1, 50, 100):
             for _ in range(200):
-                c = env.costs(t, rng)
+                c = env.costs_block(t, 1, rng)[0]
                 assert set(np.round(c, 12)) <= {0.005, 0.10, 1.0}
 
     def test_expected_costs_closed_form(self):
@@ -239,7 +239,7 @@ class TestDeadlineLatencyEnv:
         )
         rng = np.random.default_rng(5)
         for _ in range(300):
-            c = env.costs(1, rng)
+            c = env.costs_block(1, 1, rng)[0]
             assert c[0] == c[1] and c[2] == c[3]
 
     def test_validation(self):
@@ -271,7 +271,7 @@ class TestScenarioBuilders:
         topo = build_uniform_tree(2, 3)
         env = make_multihop_env(topo, horizon=500)
         rng = np.random.default_rng(9)
-        c = env.costs(1, rng)
+        c = env.costs_block(1, 1, rng)[0]
         assert set(np.unique(c)) <= {0.0, 1.0}
         assert len(env._edges) == topo.node_count - 1
 
@@ -290,11 +290,11 @@ class TestCsvMatrixEnv:
         assert env.n_leaves == 4
         assert env.leaf_ids == [3, 4, 5, 6]
         rng = np.random.default_rng(0)
-        assert_allclose(env.costs(1, rng), [0, 1, 0.5, 0.25])
-        assert_allclose(env.costs(2, rng), [1, 0, 0, 0])
+        assert_allclose(env.costs_block(1, 1, rng)[0], [0, 1, 0.5, 0.25])
+        assert_allclose(env.costs_block(2, 1, rng)[0], [1, 0, 0, 0])
         assert_allclose(env.expected_costs(2), [1, 0, 0, 0])
         with pytest.raises(EnvError):
-            env.costs(3, rng)
+            env.costs_block(3, 1, rng)
 
     def test_validation(self, tmp_path):
         bad_width = tmp_path / "w.csv"

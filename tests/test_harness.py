@@ -21,6 +21,7 @@ from treebandit.harness import (
     AggregateResult,
     ConfigError,
     ExperimentConfig,
+    ExperimentResults,
     HarnessError,
     SeedResult,
     build_env,
@@ -35,8 +36,6 @@ from treebandit.harness import (
     scenario_names,
     validate_config_dict,
     write_outputs,
-    write_per_seed_csv,
-    write_results_csv,
 )
 from treebandit.policy import (
     AnytimeEpsilonExp3,
@@ -454,12 +453,12 @@ def test_build_policies_eps_exp3_horizon_tuned():
     pols = build_policies({"name": "eps_exp3"}, topo, 1000, {})
     assert set(pols) == {0, 1, 2}
     root = pols[0]
-    expected = default_params(1000, 2, 2, children_all_leaves=False)
+    eta, epsilon = default_params(1000, 2, 2, children_all_leaves=False)
     assert isinstance(root, EpsilonExp3)
-    assert root.eta == expected.eta
-    assert root.epsilon == expected.epsilon
+    assert root.eta == eta
+    assert root.epsilon == epsilon
     leaf_parent = pols[1]
-    assert leaf_parent.eta == expected.eta
+    assert leaf_parent.eta == eta
     assert leaf_parent.epsilon == 0.0
 
 
@@ -510,7 +509,7 @@ def test_build_policies_oracle_chain_q():
     assert all(isinstance(p, OraclePolicy) for p in pols.values())
     q = 10000 ** -0.5
     for pol in pols.values():
-        assert pol.params.forward_prob_fn(0) == pytest.approx(min(0.5, q))
+        assert pol.forward_prob_fn(0) == pytest.approx(min(0.5, q))
 
 
 def test_build_policies_stationary_routes_toward_leaf():
@@ -593,10 +592,9 @@ def test_regret_tables_by_policy():
     cfg = ExperimentConfig.from_dict(base_config())
     res = run_experiment(cfg)
     total = res.regret_by_T("uniform")
-    ta = res.time_avg_by_T("uniform")
     assert set(total) == {10, 20}
-    for T in total:
-        assert total[T] == pytest.approx(ta[T] * T)
+    for row in res.aggregates:
+        assert total[row.T] == row.mean_time_avg_regret * row.T
     assert res.regret_by_T("nope") == {}
 
 
@@ -634,13 +632,12 @@ def test_fit_loglog_slope_recovers_power_laws():
 
 
 def test_fit_loglog_slope_floors_nonpositive_points():
-    pts = [(10, 0.0), (100, 1.0), (1000, 10.0)]
-    slope, flags = fit_loglog_slope(pts, with_flags=True)
-    assert flags == (True, False, False)
+    slope = fit_loglog_slope([(10, 0.0), (100, 1.0), (1000, 10.0)])
     assert math.isfinite(slope)
-    slope2, flags2 = fit_loglog_slope([(10, 1.0), (100, 10.0), (1000, 100.0)], with_flags=True)
-    assert flags2 == (False, False, False)
-    assert slope2 == pytest.approx(1.0, abs=1e-9)
+    assert slope == fit_loglog_slope([(10, 1e-9), (100, 1.0), (1000, 10.0)])
+    assert slope == fit_loglog_slope([(10, -2.0), (100, 1.0), (1000, 10.0)])
+    power = [(10, 1.0), (100, 10.0), (1000, 100.0)]
+    assert fit_loglog_slope(power) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_loglog_slope_input_errors():
@@ -657,22 +654,16 @@ def test_fit_loglog_slope_input_errors():
 
 
 def test_results_csv_format(tmp_path):
-    path = str(tmp_path / "results.csv")
-    write_results_csv(
-        path,
-        [AggregateResult("s", "p", 2, 2, 100, 3, 0.1, 0.05)],
-    )
+    res = ExperimentResults(None, [AggregateResult("s", "p", 2, 2, 100, 3, 0.1, 0.05)])
+    path = write_outputs(res, str(tmp_path))[0]
     lines = open(path).read().splitlines()
     assert lines[0] == "scenario,policy,D,L,T,seed_count,mean_time_avg_regret,stddev"
     assert lines[1] == "s,p,2,2,100,3,0.1,0.05"
 
 
 def test_per_seed_csv_uses_repr_floats(tmp_path):
-    path = str(tmp_path / "per_seed.csv")
-    write_per_seed_csv(
-        path,
-        [SeedResult("s", "p", 100, 0, 1 / 3, 0.25, 1 / 3 - 0.25)],
-    )
+    res = ExperimentResults(None, [], [SeedResult("s", "p", 100, 0, 1 / 3, 0.25, 1 / 3 - 0.25)])
+    path = write_outputs(res, str(tmp_path))[1]
     lines = open(path).read().splitlines()
     assert lines[0] == "scenario,policy,T,seed,cumulative_cost,optimal_stationary_cost,regret"
     assert lines[1] == f"s,p,100,0,{1 / 3!r},0.25,{1 / 3 - 0.25!r}"

@@ -11,7 +11,6 @@ from treebandit.policy import (
     ModeDraw,
     NormalizedEG,
     NumericalError,
-    OracleParams,
     OraclePolicy,
     PolicyError,
     StationaryPolicy,
@@ -28,21 +27,20 @@ from treebandit.policy import (
 
 class TestDefaultParams:
     def test_interior_node_large_horizon(self):
-        p = default_params(10**6, 2, 2, children_all_leaves=False)
-        assert_allclose(p.eta, 1e-4, rtol=1e-12)
-        assert_allclose(p.epsilon, 0.02, rtol=1e-12)
+        eta, epsilon = default_params(10**6, 2, 2, children_all_leaves=False)
+        assert_allclose(eta, 1e-4, rtol=1e-12)
+        assert_allclose(epsilon, 0.02, rtol=1e-12)
 
     def test_leaf_parent_gets_no_mixing(self):
-        assert default_params(10**6, 2, 2, children_all_leaves=True).epsilon == 0.0
+        assert default_params(10**6, 2, 2, children_all_leaves=True)[1] == 0.0
 
     def test_single_stage_small_horizon(self):
-        p = default_params(16, 1, 2, children_all_leaves=True)
-        assert_allclose(p.eta, 0.25, rtol=1e-12)
-        assert p.epsilon == 0.0
+        eta, epsilon = default_params(16, 1, 2, children_all_leaves=True)
+        assert_allclose(eta, 0.25, rtol=1e-12)
+        assert epsilon == 0.0
 
     def test_epsilon_clamped_for_tiny_horizons(self):
-        p = default_params(2, 2, 4, children_all_leaves=False)
-        assert p.epsilon == 1.0
+        assert default_params(2, 2, 4, children_all_leaves=False)[1] == 1.0
 
     def test_validation(self):
         with pytest.raises(PolicyError):
@@ -295,9 +293,9 @@ class TestAnytimeSchedule:
         assert pol.theta[0] < 0.0
         pol.start_segment(3)
         assert pol.theta == [0.0, 0.0]
-        want = default_params(8, 2, 2, False)
-        assert_allclose(pol.eta, want.eta)
-        assert_allclose(pol.epsilon, want.epsilon)
+        want_eta, want_epsilon = default_params(8, 2, 2, False)
+        assert_allclose(pol.eta, want_eta)
+        assert_allclose(pol.epsilon, want_epsilon)
 
     def test_rejects_nonpositive_round(self):
         with pytest.raises(PolicyError):
@@ -360,7 +358,7 @@ class TestSimplePolicies:
 
 def oracle_picks(forward_prob_fn, expected_child_costs, n, seed):
     """How often an oracle told these expected costs forwards to child 1."""
-    pol = OraclePolicy(2, OracleParams(forward_prob_fn))
+    pol = OraclePolicy(2, forward_prob_fn)
     pol.set_expected_costs(expected_child_costs)
     rng = np.random.default_rng(seed)
     return sum(pol.select(rng).child for _ in range(n))
@@ -386,7 +384,7 @@ class TestOracle:
         assert_allclose(exp_decay_forward_prob(0.4)(1.0), 0.4 * math.exp(-1.0))
 
     def test_policy_distribution(self):
-        pol = OraclePolicy(2, OracleParams(constant_forward_prob(0.2)))
+        pol = OraclePolicy(2, constant_forward_prob(0.2))
         with pytest.raises(PolicyError):
             pol.distribution()
         pol.set_expected_costs((0.7, 0.3))
@@ -394,7 +392,7 @@ class TestOracle:
         pol.set_expected_costs((0.3, 0.7))
         assert_allclose(pol.distribution(), [0.8, 0.2])
         with pytest.raises(PolicyError):
-            OraclePolicy(3, OracleParams(constant_forward_prob(0.2)))
+            OraclePolicy(3, constant_forward_prob(0.2))
 
 
 class TestSoftmaxNumerics:

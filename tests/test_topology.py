@@ -112,14 +112,6 @@ class TestQueries:
         with pytest.raises(TopologyError):
             t.leaf_index(1)
 
-    def test_child_toward(self):
-        t = build_uniform_tree(2, 2)
-        assert t.child_toward(0, 3) == 0
-        assert t.child_toward(0, 6) == 1
-        assert t.child_toward(1, 4) == 1
-        with pytest.raises(TopologyError):
-            t.child_toward(1, 6)
-
 
 class TestAdjacencyParsing:
     """The checks TreeTopology makes on the children lists it is given."""

@@ -38,7 +38,6 @@ from treebandit.policy import (  # noqa: E402
     ModeDraw,
     NormalizedEG,
     NumericalError,
-    OracleParams,
     OraclePolicy,
     StationaryPolicy,
     UniformRandomPolicy,
@@ -131,7 +130,7 @@ def visited_policies(draw):
         pol = UniformRandomPolicy(k)
     else:
         fn = draw(st.sampled_from((constant_forward_prob, exp_decay_forward_prob)))
-        pol = OraclePolicy(2, OracleParams(fn(mix)))
+        pol = OraclePolicy(2, fn(mix))
     visits = draw(st.lists(
         st.tuples(
             st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),

@@ -299,16 +299,20 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
         means = r.get("means", lambda v: isinstance(v, list) and all(map(_unit, v)),
                       "must be a list of numbers in [0,1]", None)
         # resolve_shift_round reads these two for the constructor
-        r.get("shift_fraction", lambda v: v is None or (_unit(v) and float(v) > 0),
-              "must be in (0,1]", None)
-        r.get("shift_round", lambda v: v is None or (_is_int(v) and v >= 1),
-              "must be an integer >= 1", None)
+        fraction = r.get("shift_fraction", lambda v: v is None or (_unit(v) and float(v) > 0),
+                         "must be in (0,1]", None)
+        shift = r.get("shift_round", lambda v: v is None or (_is_int(v) and v >= 1),
+                      "must be an integer >= 1", None)
         shift_leaf = r.get(
             "shift_leaf", lambda v: v is None or leaves is None or (_is_int(v) and v in leaves),
             "must be a leaf of the topology", None,
         )
         if r.ok and (p_min is None) == (means is None):
             errors.append("env: give exactly one of p_min or means")
+        if r.ok and shift is not None and fraction is not None:
+            r.fail("shift_round", "give at most one of shift_round or shift_fraction")
+        if r.ok and shift_leaf is not None and shift is None and fraction is None:
+            r.fail("shift_leaf", "needs a shift: give shift_round or shift_fraction")
         if means is not None and leaves is not None and len(means) != len(leaves):
             r.fail("means", f"{len(means)} entries for {len(leaves)} leaves")
 
@@ -414,13 +418,15 @@ def _read_policy(
                       "must be 'classic' or in [0,1]", "classic")
         eta = r.get("eta", lambda v: v in ("classic", "shift_matched") or _positive(v),
                     "must be 'classic', 'shift_matched' or a number > 0", "classic")
-        scale = r.get("eta_scale", _positive, "must be a number > 0", 10.0)
+        scale = r.get("eta_scale", _positive, "must be a number > 0", None)
+        if scale is not None and eta not in ("shift_matched", None):
+            r.fail("eta_scale", "applies only with eta: shift_matched")
         if eta == "shift_matched" and T is not None:
             shift = resolve_shift_round(env_spec, T)
             if shift is None:
                 r.fail("eta", "shift_matched needs an environment with a cost shift")
             else:
-                eta = float(scale) / shift
+                eta = float(10.0 if scale is None else scale) / shift
 
         def make(node, K):
             g = classic_exp3_gamma(K, T) if gamma == "classic" else float(gamma)

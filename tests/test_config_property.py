@@ -128,9 +128,13 @@ def valid_configs(draw):
         else:
             env["means"] = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
                                          min_size=len(leaves), max_size=len(leaves)))
-        if draw(st.booleans()):
-            env["shift_leaf"] = draw(st.sampled_from(leaves + [None]))
     env.update(draw(optional(ENV_KEYS[env["kind"]])))
+    # at most one of shift_round and shift_fraction, and a shift leaf only with a shift
+    shifts = [k for k in ("shift_round", "shift_fraction") if env.get(k) is not None]
+    if len(shifts) == 2:
+        del env[draw(st.sampled_from(shifts))]
+    if env["kind"] == "bernoulli_tree" and draw(st.booleans()):
+        env["shift_leaf"] = draw(st.sampled_from(leaves + [None] if shifts else [None]))
 
     names = sorted(POLICY_KEYS)
     if tree.max_fanout != 2:
@@ -139,6 +143,8 @@ def valid_configs(draw):
     for k in range(draw(st.integers(1, 2))):
         entry = {"name": draw(st.sampled_from(names))}
         entry.update(draw(optional(POLICY_KEYS[entry["name"]])))
+        if entry.get("eta") != "shift_matched":
+            entry.pop("eta_scale", None)  # it applies only to shift_matched
         if entry["name"] == "stationary":
             entry["leaf"] = draw(st.sampled_from(leaves))
         if k == 1:
@@ -173,6 +179,8 @@ def valid_configs(draw):
     needed = [(raw, k) for k in ("scenario", "topology", "env", "policies", "horizons")]
     needed += [(topology, k) for k in topology] + [(env, "kind")]
     needed += [(env, k) for k in ("p_min", "means") if k in env]
+    if env.get("shift_leaf") is not None:
+        needed += [(env, k) for k in shifts if k in env]
     needed += [(entry, k) for entry in policies for k in ("name", "leaf") if k in entry]
     needed += [(raw["trace"], "watched")] if "trace" in raw else []
     return raw, slots, needed

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from treebandit.engine import FeedbackModel
 from treebandit.env import (
@@ -79,6 +80,13 @@ def test_valid_config_has_no_errors():
     assert validate_config_dict(base_config()) == []
 
 
+def test_readme_config_example_validates():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    section = open(readme).read().split("## Config format", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert validate_config_dict(yaml.safe_load(block)) == []
+
+
 def test_top_level_must_be_mapping():
     assert validate_config_dict([1, 2]) == ["config: top level must be a mapping"]
 
@@ -125,6 +133,14 @@ def test_missing_required_key_reported(key):
         ({"policies": []}, "policies"),
         # each of these passed validation and then failed at run time, or
         # was silently ignored
+        ({"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_leaf": 3}}, "env.shift_leaf"),
+        (
+            {"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_round": 5,
+                     "shift_fraction": 0.5}},
+            "env.shift_round",
+        ),
+        ({"policies": [{"name": "exp3", "eta_scale": 5.0}]}, "policies[0].eta_scale"),
+        ({"policies": [{"name": "exp3", "eta": 0.5, "eta_scale": 5.0}]}, "policies[0].eta_scale"),
         ({"policies": [{"name": "eps_exp3", "eta": 0}]}, "policies[0].eta"),
         ({"policies": [{"name": "eps_exp3", "epsilon": 5}]}, "policies[0].epsilon"),
         ({"env": {"kind": "deadline_multihop", "ramp": 5}}, "env.ramp"),

@@ -133,14 +133,6 @@ def test_missing_required_key_reported(key):
         ({"policies": []}, "policies"),
         # each of these passed validation and then failed at run time, or
         # was silently ignored
-        ({"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_leaf": 3}}, "env.shift_leaf"),
-        (
-            {"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_round": 5,
-                     "shift_fraction": 0.5}},
-            "env.shift_round",
-        ),
-        ({"policies": [{"name": "exp3", "eta_scale": 5.0}]}, "policies[0].eta_scale"),
-        ({"policies": [{"name": "exp3", "eta": 0.5, "eta_scale": 5.0}]}, "policies[0].eta_scale"),
         ({"policies": [{"name": "eps_exp3", "eta": 0}]}, "policies[0].eta"),
         ({"policies": [{"name": "eps_exp3", "epsilon": 5}]}, "policies[0].epsilon"),
         ({"env": {"kind": "deadline_multihop", "ramp": 5}}, "env.ramp"),
@@ -170,6 +162,15 @@ def test_missing_required_key_reported(key):
         ({"env": {"kind": "csv", "path": CsvText("3,4,5,6\n0,1.5,0,0\n")}}, "env.path"),
         ({"env": {"kind": "csv", "path": CsvText("3,4,5,6\n0,0,0\n")}}, "env.path"),
         ({"env": {"kind": "csv", "path": CsvText("")}}, "env.path"),
+        # these were silently ignored: the run equalled the run without them
+        ({"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_leaf": 3}}, "env.shift_leaf"),
+        (
+            {"env": {"kind": "bernoulli_tree", "p_min": 0.2, "shift_round": 5,
+                     "shift_fraction": 0.5}},
+            "env.shift_round",
+        ),
+        ({"policies": [{"name": "exp3", "eta_scale": 5.0}]}, "policies[0].eta_scale"),
+        ({"policies": [{"name": "exp3", "eta": 0.5, "eta_scale": 5.0}]}, "policies[0].eta_scale"),
     ],
 )
 def test_errors_name_the_offending_key(patch, key, tmp_path):

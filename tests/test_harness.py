@@ -536,6 +536,11 @@ def test_build_policies_stationary_routes_toward_leaf():
     assert list(pols[0].distribution()) == [0.0, 1.0]
     assert list(pols[2].distribution()) == [0.0, 1.0]
     assert list(pols[1].distribution()) == [1.0, 0.0]
+    # the depth-3 chain: node 0 -> (3, 1), node 1 -> (4, 2), node 2 -> (5, 6)
+    chain = build_topology({"kind": "chain", "depth": 3})
+    for leaf, pins in ((4, [1, 0, 0]), (6, [1, 1, 1]), (3, [0, 0, 0])):
+        pols = build_policies({"name": "stationary", "leaf": leaf}, chain, 10, {})
+        assert [pols[n].child for n in chain.non_leaves] == pins
 
 
 def test_build_policies_uniform_and_anytime_types():

@@ -438,11 +438,12 @@ def _read_policy(
         leaf = r.get("leaf", lambda v: topology is None or (_is_int(v) and v in topology.leaves),
                      "must be a leaf of the topology")
         pins: dict[int, int] = {}  # route node -> position of the child toward leaf
-        cur = leaf if r.ok and topology is not None else 0
-        while cur != 0:
-            up = topology.parent[cur]
-            pins[up] = topology.children[up].index(cur)
-            cur = up
+        if r.ok and topology is not None:
+            cur = leaf
+            while cur != 0:
+                up = topology.parent[cur]
+                pins[up] = topology.children[up].index(cur)
+                cur = up
 
         def make(node, K):
             # Nodes off the root-to-leaf route never receive the job, so

@@ -22,7 +22,6 @@ from treebandit.env import EnvError
 from treebandit.harness import (
     ConfigError,
     ExperimentConfig,
-    HarnessError,
     load_config_file,
     load_scenario,
     policy_label,
@@ -45,7 +44,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("config", nargs="?", default=None,
                      help="bundled scenario name or path to a YAML config")
-    sub.add_argument("--scenario", default=None, help="bundled scenario name")
     sub.add_argument("--t", default=None,
                      help="comma-separated horizon list overriding the config grid")
     sub.add_argument("--seeds", type=int, default=None, help="replication count override")
@@ -71,9 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_raw_config(args) -> dict:
-    if args.scenario and args.config:
-        raise ConfigError(["give either a config argument or --scenario, not both"])
-    name = args.scenario or args.config
+    name = args.config
     if not name:
         raise ConfigError(["no config given: pass a bundled scenario name or a YAML path"])
     if os.path.exists(name):
@@ -100,10 +96,9 @@ def apply_overrides(raw: dict, args) -> dict:
         if not keep:
             raise ConfigError([f"--policy: no policy labelled {args.policy!r} in the config"])
         raw["policies"] = keep
-    if args.trace_window is not None:
-        trace = dict(raw.get("trace") or {})
-        trace["window"] = args.trace_window
-        raw["trace"] = trace
+    # a config without a trace section has no window to override
+    if args.trace_window is not None and isinstance(raw.get("trace"), dict):
+        raw["trace"] = {**raw["trace"], "window": args.trace_window}
     return raw
 
 
@@ -149,16 +144,12 @@ def main(argv=None) -> int:
             return _cmd_scenarios()
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "run":
-            return _cmd_run(args, with_trace=False)
-        if args.command == "trace":
-            return _cmd_run(args, with_trace=True)
-        raise ConfigError([f"unknown command {args.command!r}"])
+        return _cmd_run(args, with_trace=args.command == "trace")
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"error: {msg}", file=sys.stderr)
         return 1
-    except (TopologyError, EnvError, PolicyError, EngineError, HarnessError) as exc:
+    except (TopologyError, EnvError, PolicyError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

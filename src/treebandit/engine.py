@@ -108,14 +108,15 @@ class TraceRecorder:
     Accumulates the probability in force at the start of each round and
     emits one row per watched pair every ``window`` rounds:
     (window_end_round, node_id, child_node_id, mean probability). Only full
-    windows are emitted.
+    windows are emitted. It is built from ``window`` and ``watched`` alone;
+    ``rows`` collects the output.
     """
 
     window: int
     watched: tuple[tuple[int, int], ...]  # (node id, child node id)
-    rows: list[tuple[int, int, int, float]] = field(default_factory=list)
-    _acc: list[float] = field(default_factory=list)
-    _count: int = 0
+    rows: list[tuple[int, int, int, float]] = field(init=False, default_factory=list)
+    _acc: list[float] = field(init=False)
+    _count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -249,16 +250,13 @@ class Simulation:
             )
         return block
 
-    def _w(self, node: int, expected: np.ndarray, memo: dict[int, float]) -> float:
+    def _w(self, node: int, expected: np.ndarray) -> float:
         """w of ``node`` under leaf means ``expected``; refreshes every oracle in its subtree."""
-        got = memo.get(node)
-        if got is not None:
-            return got
         kids = self._children[node]
         if not kids:
             val = float(expected[self._leaf_pos[node]])
         else:
-            child_ws = [self._w(c, expected, memo) for c in kids]
+            child_ws = [self._w(c, expected) for c in kids]
             pol = self._pols[node]
             if node in self._oracle:
                 pol.set_expected_costs(child_ws)
@@ -266,7 +264,6 @@ class Simulation:
             val = 0.0
             for p, w in zip(pol.distribution(), child_ws):
                 val += p * w
-        memo[node] = val
         return val
 
     def conditional_expected_cost(self, node: int, t: int) -> float:
@@ -274,7 +271,7 @@ class Simulation:
         now, under every descendant's current distribution."""
         self.topology._check(node)
         self._refreshed = None  # the subtree's oracles now hold round t's costs
-        return self._w(node, self.env.expected_costs(t), {})
+        return self._w(node, self.env.expected_costs(t))
 
     def _bandit_round(self, block: np.ndarray, i: int):
         """Route a job on the costs in block row i and update the path.
@@ -350,7 +347,7 @@ class Simulation:
             if self._oracle:
                 expected = self.env.expected_costs(t)
                 if expected is not self._refreshed:
-                    self._w(0, expected, {})
+                    self._w(0, expected)
                     self._refreshed = expected if self._all_fixed else None
             if trace is not None:
                 trace.observe(t, [self._pols[n].prob(j) for n, j in watch_idx])

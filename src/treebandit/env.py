@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from treebandit.topology import TreeTopology
 
@@ -91,6 +90,8 @@ class BernoulliTreeEnv(CostEnvironment):
             post[shift_leaf] = 0.0
             post.flags.writeable = False
             self._post = post
+        elif shift_leaf is not None:
+            raise EnvError("shift_leaf needs a shift_round")
         else:
             self._post = self._pre
         self.shift_round = shift_round
@@ -179,17 +180,18 @@ class DeadlineLatencyEnv(CostEnvironment):
     """Deadline-violation costs for latency that accumulates along the path.
 
     Each tree edge may carry an exponential delay (rate possibly
-    time-varying); each leaf adds a deterministic processing time and has a
-    base miss rate. A round's cost for a leaf is 1 if its total path latency
-    exceeds the deadline, else the leaf's miss rate — so the per-leaf cost
-    is exactly two-valued. One delay draw per edge per round is shared by
-    every leaf beneath that edge.
+    time-varying): ``edge_rates`` maps a non-root node to the schedule of
+    its in-edge, and an edge left out adds no delay. Each leaf adds a
+    deterministic processing time and has a base miss rate. A round's cost
+    for a leaf is 1 if its total path latency exceeds the deadline, else the
+    leaf's miss rate — so the per-leaf cost is exactly two-valued. One delay
+    draw per edge per round is shared by every leaf beneath that edge.
     """
 
     def __init__(
         self,
         topology: TreeTopology,
-        edge_rates: dict[int, RateSchedule | None],
+        edge_rates: dict[int, RateSchedule],
         leaf_proc: dict[int, float],
         leaf_miss: dict[int, float],
         deadline: float = 1.0,
@@ -203,7 +205,7 @@ class DeadlineLatencyEnv(CostEnvironment):
         self.n_leaves = len(topology.leaves)
         self.deadline = deadline
         # An edge is identified by its child node id (unique in-edge).
-        self._edges = sorted(n for n, r in edge_rates.items() if r is not None)
+        self._edges = sorted(edge_rates)
         self._edge_pos = {n: k for k, n in enumerate(self._edges)}
         self._schedules = [edge_rates[n] for n in self._edges]
         self._proc = np.zeros(self.n_leaves)
@@ -262,6 +264,9 @@ def hypoexponential_survival(budget: float, rates) -> float:
     the first row sum of expm(M * budget) with M the bidiagonal generator.
     Exact for repeated rates, unlike the partial-fraction formula.
     """
+    # deferred: scipy.linalg is slow to import and only deadline expected costs need it
+    from scipy.linalg import expm
+
     if budget <= 0.0:
         return 1.0
     k = len(rates)
@@ -294,7 +299,7 @@ def make_mec_env(
     """
     if topology.depth != 2:
         raise EnvError("MEC scenario expects a depth-2 topology (server, model)")
-    edge_rates: dict[int, RateSchedule | None] = {}
+    edge_rates: dict[int, RateSchedule] = {}
     for idx, server in enumerate(topology.children[0]):
         if idx % 2 == 0:
             edge_rates[server] = RateSchedule(constant_rate, constant_rate)
@@ -325,7 +330,7 @@ def make_multihop_env(
     parity, so every path mixes stable and congesting hops. Leaves have no
     processing time or base miss rate: cost is purely the deadline flag.
     """
-    edge_rates: dict[int, RateSchedule | None] = {}
+    edge_rates: dict[int, RateSchedule] = {}
     for node in range(topology.node_count):
         for idx, child in enumerate(topology.children[node]):
             if (topology.depth_of[child] + idx) % 2 == 0:

@@ -70,7 +70,7 @@ ENV_KINDS = (
 
 
 class HarnessError(ValueError):
-    """Raised for invalid analysis inputs (bad fit points, missing anchor)."""
+    """Raised for invalid analysis inputs (bad fit points)."""
 
 
 class ConfigError(ValueError):
@@ -248,7 +248,7 @@ def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
     labels: set[str] = set()
     for k, entry in enumerate(policies or []):
         where = f"policies[{k}]"
-        _collect(errors, where, _read_policy, entry, where, topology, policy_T, env_spec)
+        _collect(errors, where, _read_policy, entry, where, topology, policy_T, env)
         if isinstance(entry, dict):
             label = policy_label(entry)
             if label in labels:
@@ -298,7 +298,6 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
         p_min = r.get("p_min", _unit, "must be in [0,1]", None)
         means = r.get("means", lambda v: isinstance(v, list) and all(map(_unit, v)),
                       "must be a list of numbers in [0,1]", None)
-        # resolve_shift_round reads these two for the constructor
         fraction = r.get("shift_fraction", lambda v: v is None or (_unit(v) and float(v) > 0),
                          "must be in (0,1]", None)
         shift = r.get("shift_round", lambda v: v is None or (_is_int(v) and v >= 1),
@@ -320,7 +319,7 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
             return BernoulliTreeEnv(
                 [float(m) for m in means] if means is not None
                 else bernoulli_tree_means(len(leaves), float(p_min)),
-                shift_round=resolve_shift_round(spec, T),
+                shift_round=shift if fraction is None else max(1, round(T * float(fraction))),
                 shift_leaf=None if shift_leaf is None else topology.leaf_index(shift_leaf),
             )
     elif kind == "lower_bound_chain":
@@ -378,7 +377,8 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
 
 
 def _read_policy(
-    errors: list[str], entry, where: str, topology: TreeTopology | None, T: int | None, env_spec
+    errors: list[str], entry, where: str, topology: TreeTopology | None, T: int | None,
+    env: CostEnvironment | None,
 ) -> dict[int, NodePolicy] | None:
     r = _Reader(entry, where, errors)
     name = r.get("name", lambda v: v in POLICY_NAMES, f"must be one of {POLICY_NAMES}")
@@ -422,7 +422,7 @@ def _read_policy(
         if scale is not None and eta not in ("shift_matched", None):
             r.fail("eta_scale", "applies only with eta: shift_matched")
         if eta == "shift_matched" and T is not None:
-            shift = resolve_shift_round(env_spec, T)
+            shift = getattr(env, "shift_round", None)  # only BernoulliTreeEnv has one
             if shift is None:
                 r.fail("eta", "shift_matched needs an environment with a cost shift")
             else:
@@ -529,15 +529,6 @@ def load_config_file(path: str) -> dict:
 # factories
 
 
-def resolve_shift_round(env_spec: dict, T: int) -> int | None:
-    if env_spec.get("shift_round"):
-        return int(env_spec["shift_round"])
-    frac = env_spec.get("shift_fraction")
-    if frac:
-        return max(1, round(T * float(frac)))
-    return None
-
-
 def build_topology(spec: dict) -> TreeTopology:
     return _strict(_read_topology, spec)
 
@@ -547,10 +538,10 @@ def build_env(env_spec: dict, topology: TreeTopology, T: int) -> CostEnvironment
 
 
 def build_policies(
-    entry: dict, topology: TreeTopology, T: int, env_spec: dict
+    entry: dict, topology: TreeTopology, T: int, env: CostEnvironment | None
 ) -> dict[int, NodePolicy]:
-    """Instantiate one policy object per non-leaf node for one seeded run."""
-    return _strict(_read_policy, entry, "policy", topology, T, env_spec)
+    """Instantiate one policy object per non-leaf node for one seeded run on ``env``."""
+    return _strict(_read_policy, entry, "policy", topology, T, env)
 
 
 def policy_label(entry: dict) -> str:
@@ -588,7 +579,6 @@ class SeedResult:
 
 @dataclass
 class ExperimentResults:
-    config: ExperimentConfig
     aggregates: list[AggregateResult] = field(default_factory=list)
     seed_rows: list[SeedResult] = field(default_factory=list)
     traces: dict[tuple[str, int], list[tuple[int, int, int, float]]] = field(
@@ -606,14 +596,13 @@ def run_one(
     policy_entry: dict,
     T: int,
     seed: int,
+    topology: TreeTopology,
     with_trace: bool = False,
-    topology: TreeTopology | None = None,
 ):
-    """Run a single seeded replication; returns (SeedResult, trace rows).
-    ``topology``, if given, is ``config.topology`` already built."""
-    topology = topology or build_topology(config.topology)
+    """Run a single seeded replication on ``topology``, which is
+    ``config.topology`` built; returns (SeedResult, trace rows)."""
     env = build_env(config.env, topology, T)
-    policies = build_policies(policy_entry, topology, T, config.env)
+    policies = build_policies(policy_entry, topology, T, env)
     # normalized_eg learns from every child's cost (one-hop feedback); every
     # other policy learns from the end-to-end cost alone
     one_hop = isinstance(policies[0], NormalizedEG)
@@ -654,7 +643,7 @@ def run_experiment(
     topology = build_topology(config.topology)
     D = topology.max_fanout
     L = topology.depth
-    results = ExperimentResults(config)
+    results = ExperimentResults()
     for entry in config.policies:
         label = policy_label(entry)
         for T in sorted(config.horizons):
@@ -663,7 +652,7 @@ def run_experiment(
             trace_acc: np.ndarray | None = None
             trace_key_rows: list[tuple[int, int, int]] | None = None
             for seed in range(config.seeds):
-                row, trace_rows = run_one(config, entry, T, seed, with_trace, topology)
+                row, trace_rows = run_one(config, entry, T, seed, topology, with_trace)
                 results.seed_rows.append(row)
                 ta_values.append(row.regret / T if T > 0 else 0.0)
                 if trace_rows:

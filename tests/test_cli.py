@@ -62,11 +62,6 @@ def test_run_without_config_exits_one(capsys):
     assert "no config given" in capsys.readouterr().err
 
 
-def test_config_and_scenario_flag_conflict(tiny_config, capsys):
-    assert main(["run", tiny_config, "--scenario", "fig7-D2L2"]) == 1
-    assert "not both" in capsys.readouterr().err
-
-
 def test_missing_yaml_path_exits_one(capsys):
     assert main(["validate", "does/not/exist.yaml"]) == 1
     assert "file not found" in capsys.readouterr().err
@@ -202,9 +197,20 @@ def test_trace_requires_trace_section(tmp_path, capsys):
     path.write_text(TINY_CONFIG.split("trace:")[0])
     assert main(["trace", str(path)]) == 1
     assert "no trace section" in capsys.readouterr().err
-    # a window override alone does not make a trace section
-    assert main(["trace", str(path), "--trace-window", "5", "--out", str(tmp_path / "o")]) == 1
-    assert "trace.watched" in capsys.readouterr().err
+
+
+def test_trace_window_without_trace_section(tmp_path, capsys):
+    """A window override alone does not make a trace section: run and
+    validate ignore it, and trace still reports the missing section."""
+    path = tmp_path / "notrace.yaml"
+    path.write_text(TINY_CONFIG.split("trace:")[0])
+    window = ["--trace-window", "5"]
+    assert main(["run", str(path), *window, "--out", str(tmp_path / "run")]) == 0
+    assert os.path.exists(tmp_path / "run" / "per_seed.csv")
+    assert main(["validate", str(path), *window]) == 0
+    capsys.readouterr()
+    assert main(["trace", str(path), *window, "--out", str(tmp_path / "o")]) == 1
+    assert "no trace section" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

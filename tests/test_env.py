@@ -74,6 +74,8 @@ class TestBernoulliTreeEnv:
             BernoulliTreeEnv([0.5, 0.5], shift_round=0)
         with pytest.raises(EnvError):
             BernoulliTreeEnv([0.5, 0.5], shift_round=5, shift_leaf=9)
+        with pytest.raises(EnvError, match="shift_leaf needs a shift_round"):
+            BernoulliTreeEnv([0.5, 0.2], shift_leaf=9)
 
     def test_replay_determinism(self):
         env = BernoulliTreeEnv([1.0, 0.5, 0.4, 0.2], shift_round=30)

@@ -31,7 +31,6 @@ from treebandit.harness import (
     fit_loglog_slope,
     load_config_file,
     load_scenario,
-    resolve_shift_round,
     run_experiment,
     run_one,
     scenario_names,
@@ -397,11 +396,14 @@ def test_build_topology_kinds():
         build_topology({"kind": "star"})
 
 
-def test_resolve_shift_round():
-    assert resolve_shift_round({"shift_round": 50, "shift_fraction": 0.5}, 1000) == 50
-    assert resolve_shift_round({"shift_fraction": 0.01}, 1000) == 10
-    assert resolve_shift_round({"shift_fraction": 0.0001}, 100) == 1
-    assert resolve_shift_round({}, 1000) is None
+def test_build_env_shift_round():
+    topo = build_uniform_tree(2, 2)
+    for shift, T, expected in (({"shift_round": 50}, 1000, 50),
+                               ({"shift_fraction": 0.01}, 1000, 10),
+                               ({"shift_fraction": 0.0001}, 100, 1),
+                               ({}, 1000, None)):
+        env = build_env({"kind": "bernoulli_tree", "p_min": 0.2, **shift}, topo, T)
+        assert env.shift_round == expected
 
 
 def test_build_env_bernoulli_with_shift_leaf():
@@ -453,7 +455,7 @@ def test_policy_feedback_defaults_and_override(monkeypatch):
     monkeypatch.setattr(harness, "Simulation", recording)
     for name in ("normalized_eg", "eps_exp3", "exp3", "uniform"):
         cfg = ExperimentConfig.from_dict(base_config(policies=[{"name": name}]))
-        run_one(cfg, cfg.policies[0], 10, 0)
+        run_one(cfg, cfg.policies[0], 10, 0, build_topology(cfg.topology))
     assert used == [
         FeedbackModel.COMPLETE_ONE_HOP,
         FeedbackModel.END_TO_END_BANDIT,
@@ -467,7 +469,7 @@ def test_policy_feedback_defaults_and_override(monkeypatch):
 
 def test_build_policies_eps_exp3_horizon_tuned():
     topo = build_uniform_tree(2, 2)
-    pols = build_policies({"name": "eps_exp3"}, topo, 1000, {})
+    pols = build_policies({"name": "eps_exp3"}, topo, 1000, None)
     assert set(pols) == {0, 1, 2}
     root = pols[0]
     eta, epsilon = default_params(1000, 2, 2, children_all_leaves=False)
@@ -481,14 +483,14 @@ def test_build_policies_eps_exp3_horizon_tuned():
 
 def test_build_policies_eps_exp3_explicit_overrides():
     topo = build_uniform_tree(2, 1)
-    pols = build_policies({"name": "eps_exp3", "eta": 0.5, "epsilon": 0.25}, topo, 10, {})
+    pols = build_policies({"name": "eps_exp3", "eta": 0.5, "epsilon": 0.25}, topo, 10, None)
     assert pols[0].eta == 0.5
     assert pols[0].epsilon == 0.25
 
 
 def test_build_policies_exp3_classic():
     topo = build_uniform_tree(2, 1)
-    pols = build_policies({"name": "exp3"}, topo, 1000, {})
+    pols = build_policies({"name": "exp3"}, topo, 1000, None)
     pol = pols[0]
     gamma = classic_exp3_gamma(2, 1000)
     assert isinstance(pol, Exp3Baseline)
@@ -498,31 +500,33 @@ def test_build_policies_exp3_classic():
 
 def test_build_policies_exp3_shift_matched():
     topo = build_uniform_tree(2, 1)
-    env_spec = {"kind": "bernoulli_tree", "p_min": 0.2, "shift_fraction": 0.1}
+    env = build_env({"kind": "bernoulli_tree", "p_min": 0.2, "shift_fraction": 0.1}, topo, 1000)
     pols = build_policies(
         {"name": "exp3", "gamma": 0.002, "eta": "shift_matched", "eta_scale": 10.0},
         topo,
         1000,
-        env_spec,
+        env,
     )
     assert pols[0].gamma == 0.002
     assert pols[0].eta == 10.0 / 100
-    with pytest.raises(ConfigError, match="shift"):
-        build_policies({"name": "exp3", "eta": "shift_matched"}, topo, 1000, {})
+    unshifted = build_env({"kind": "bernoulli_tree", "p_min": 0.2}, topo, 1000)
+    for env in (unshifted, None):
+        with pytest.raises(ConfigError, match="shift"):
+            build_policies({"name": "exp3", "eta": "shift_matched"}, topo, 1000, env)
 
 
 def test_build_policies_normalized_eg_eta():
     topo = build_uniform_tree(3, 1)
-    pols = build_policies({"name": "normalized_eg"}, topo, 400, {})
+    pols = build_policies({"name": "normalized_eg"}, topo, 400, None)
     assert isinstance(pols[0], NormalizedEG)
     assert pols[0].eta == eg_default_eta(3, 400)
-    pols = build_policies({"name": "normalized_eg", "eta": 0.125}, topo, 400, {})
+    pols = build_policies({"name": "normalized_eg", "eta": 0.125}, topo, 400, None)
     assert pols[0].eta == 0.125
 
 
 def test_build_policies_oracle_chain_q():
     topo = build_topology({"kind": "chain", "depth": 2})
-    pols = build_policies({"name": "oracle_chain"}, topo, 10000, {})
+    pols = build_policies({"name": "oracle_chain"}, topo, 10000, None)
     assert all(isinstance(p, OraclePolicy) for p in pols.values())
     q = 10000 ** -0.5
     for pol in pols.values():
@@ -531,7 +535,7 @@ def test_build_policies_oracle_chain_q():
 
 def test_build_policies_stationary_routes_toward_leaf():
     topo = build_uniform_tree(2, 2)
-    pols = build_policies({"name": "stationary", "leaf": 6}, topo, 10, {})
+    pols = build_policies({"name": "stationary", "leaf": 6}, topo, 10, None)
     assert isinstance(pols[0], StationaryPolicy)
     assert list(pols[0].distribution()) == [0.0, 1.0]
     assert list(pols[2].distribution()) == [0.0, 1.0]
@@ -539,15 +543,15 @@ def test_build_policies_stationary_routes_toward_leaf():
     # the depth-3 chain: node 0 -> (3, 1), node 1 -> (4, 2), node 2 -> (5, 6)
     chain = build_topology({"kind": "chain", "depth": 3})
     for leaf, pins in ((4, [1, 0, 0]), (6, [1, 1, 1]), (3, [0, 0, 0])):
-        pols = build_policies({"name": "stationary", "leaf": leaf}, chain, 10, {})
+        pols = build_policies({"name": "stationary", "leaf": leaf}, chain, 10, None)
         assert [pols[n].child for n in chain.non_leaves] == pins
 
 
 def test_build_policies_uniform_and_anytime_types():
     topo = build_uniform_tree(2, 2)
-    assert isinstance(build_policies({"name": "uniform"}, topo, 10, {})[0], UniformRandomPolicy)
+    assert isinstance(build_policies({"name": "uniform"}, topo, 10, None)[0], UniformRandomPolicy)
     assert isinstance(
-        build_policies({"name": "anytime_eps_exp3"}, topo, 10, {})[0], AnytimeEpsilonExp3
+        build_policies({"name": "anytime_eps_exp3"}, topo, 10, None)[0], AnytimeEpsilonExp3
     )
 
 
@@ -562,7 +566,7 @@ def test_run_one_stationary_on_best_leaf_has_zero_regret():
             policies=[{"name": "stationary", "leaf": 6}],
         )
     )
-    row, trace_rows = run_one(cfg, cfg.policies[0], 20, 0)
+    row, trace_rows = run_one(cfg, cfg.policies[0], 20, 0, build_topology(cfg.topology))
     assert row.regret == 0.0
     assert row.cumulative_cost == 0.0
     assert trace_rows == []
@@ -676,7 +680,7 @@ def test_fit_loglog_slope_input_errors():
 
 
 def test_results_csv_format(tmp_path):
-    res = ExperimentResults(None, [AggregateResult("s", "p", 2, 2, 100, 3, 0.1, 0.05)])
+    res = ExperimentResults([AggregateResult("s", "p", 2, 2, 100, 3, 0.1, 0.05)])
     path = write_outputs(res, str(tmp_path))[0]
     lines = open(path).read().splitlines()
     assert lines[0] == "scenario,policy,D,L,T,seed_count,mean_time_avg_regret,stddev"
@@ -684,7 +688,7 @@ def test_results_csv_format(tmp_path):
 
 
 def test_per_seed_csv_uses_repr_floats(tmp_path):
-    res = ExperimentResults(None, [], [SeedResult("s", "p", 100, 0, 1 / 3, 0.25, 1 / 3 - 0.25)])
+    res = ExperimentResults([], [SeedResult("s", "p", 100, 0, 1 / 3, 0.25, 1 / 3 - 0.25)])
     path = write_outputs(res, str(tmp_path))[1]
     lines = open(path).read().splitlines()
     assert lines[0] == "scenario,policy,T,seed,cumulative_cost,optimal_stationary_cost,regret"

@@ -197,21 +197,15 @@ def test_trace_requires_trace_section(tmp_path, capsys):
     path.write_text(TINY_CONFIG.split("trace:")[0])
     assert main(["trace", str(path)]) == 1
     assert "no trace section" in capsys.readouterr().err
-
-
-def test_trace_window_without_trace_section(tmp_path, capsys):
-    """A window override alone does not make a trace section: run and
-    validate ignore it, and trace still reports the missing section."""
-    path = tmp_path / "notrace.yaml"
-    path.write_text(TINY_CONFIG.split("trace:")[0])
+    # a window override alone does not make a trace section: trace still
+    # reports it missing, and run and validate ignore the flag
     window = ["--trace-window", "5"]
-    assert main(["run", str(path), *window, "--out", str(tmp_path / "run")]) == 0
-    assert os.path.exists(tmp_path / "run" / "per_seed.csv")
-    assert main(["validate", str(path), *window]) == 0
-    capsys.readouterr()
     assert main(["trace", str(path), *window, "--out", str(tmp_path / "o")]) == 1
     assert "no trace section" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    assert main(["run", str(path), *window, "--out", str(tmp_path / "run")]) == 0
+    assert os.path.exists(tmp_path / "run" / "per_seed.csv")
+    assert main(["validate", str(path), *window]) == 0
 
 
 def test_numerical_error_exits_two(tiny_config, tmp_path, capsys, monkeypatch):

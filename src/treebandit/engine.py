@@ -142,10 +142,27 @@ NODE_BUFFER_FIRST = 8
 NODE_BUFFER_CAP = 256
 
 
-def _buffered_floats(seed: list[int]):
-    """The floats that successive ``default_rng(seed).random()`` calls
+def _words(ints) -> list[int]:
+    """The uint32 words SeedSequence reads from ints: each int's little-endian words, 0 as [0]."""
+    words = []
+    for n in map(int, ints):
+        if n < 0:
+            raise EngineError(f"stream keys must be non-negative, got {n}")
+        words += [(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+    return words
+
+
+def _generator(words: list[int]) -> np.random.Generator:
+    """``default_rng(key)`` for the key whose words are ``words``, minus its list
+    coercion. Every stream is seeded here; tests patch it to record the keys."""
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _buffered_floats(words: list[int]):
+    """The floats that successive ``_generator(words).random()`` calls
     return, fetched in buffers; the generator is seeded on the first draw."""
-    gen = np.random.default_rng(seed)
+    gen = _generator(words)
     size = NODE_BUFFER_FIRST
     while True:
         yield from gen.random(size).tolist()
@@ -153,25 +170,23 @@ def _buffered_floats(seed: list[int]):
 
 
 class NodeStream:
-    """A node's random stream: ``random()`` returns the next float of a
-    numpy Generator seeded with ``seed``, as a Python float, taking no
-    arguments. Nothing is seeded until the first call, so a node no job
-    reaches costs no generator."""
+    """A node's random stream: ``random()`` returns the next float of a numpy
+    Generator seeded with ``words``, as a Python float. Nothing is seeded until
+    the first call, so a node no job reaches costs no generator."""
 
     __slots__ = ("random",)
 
-    def __init__(self, seed: list[int]) -> None:
-        self.random = _buffered_floats(seed).__next__
+    def __init__(self, words: list[int]) -> None:
+        self.random = _buffered_floats(words).__next__
 
 
 def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, list]:
-    """Environment stream plus one stream per non-leaf node.
-
-    All streams derive from (entropy..., role, node id), so replays are
+    """Environment stream plus one stream per non-leaf node: ``default_rng``
+    of (entropy..., 0) and of (entropy..., 1, node id), so replays are
     bit-exact and node draws are independent of traversal order.
     """
-    base = [int(e) for e in entropy]
-    env_rng = np.random.default_rng(base + [0])
+    base = _words(entropy)
+    env_rng = _generator(base + [0])
     node_rngs: list = [None] * topology.node_count
     for node in topology.non_leaves:
         node_rngs[node] = NodeStream(base + [1, node])

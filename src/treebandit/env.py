@@ -376,6 +376,7 @@ class CsvMatrixEnv(CostEnvironment):
         if not rows:
             raise EnvError(f"{path}: no cost rows")
         self._matrix = np.asarray(rows, dtype=np.float64)
+        self._matrix.flags.writeable = False  # costs_block and expected_costs hand out views
         self.n_leaves = self._matrix.shape[1]
         self.n_rounds = self._matrix.shape[0]
 

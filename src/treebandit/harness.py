@@ -17,6 +17,7 @@ import math
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -88,8 +89,8 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     """A checked config. ``topology``, ``env`` and each ``policies`` entry
-    stay raw mappings that ``build_*`` read again for every run; ``trace``
-    is the resolved ``TraceRecorder`` arguments."""
+    stay raw mappings that ``run_experiment`` reads once per (policy, T), not
+    per seed; ``trace`` is the resolved ``TraceRecorder`` arguments."""
 
     scenario: str
     topology: dict
@@ -114,15 +115,21 @@ class ExperimentConfig:
 # which holds the key's check and default; the reader then hands the value
 # to the constructor. ``validate_config_dict`` collects what the readers
 # report and ``build_*`` raise it as ConfigError. A reader builds only once
-# its own keys read cleanly and it has a topology and a horizon: validation
-# builds everything at the largest horizon, so a constructor's own
-# rejection is reported up front, against the mapping it came from.
+# its own keys read cleanly and it has a topology and a horizon; the policy
+# reader returns a function that builds one run's policies. Validation builds
+# everything at the largest horizon, so a constructor's own rejection is
+# reported up front, against the mapping it came from.
 
 _REQUIRED = object()
+_NAME_NEED = "without commas, quotes, line breaks or slashes"
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_name(x) -> bool:  # fits in a CSV field and in a file name
+    return isinstance(x, str) and x != "" and not any(c in x for c in ',"\r\n/\\')
 
 
 def _is_num(x) -> bool:
@@ -224,8 +231,7 @@ def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
         errors.append("config: top level must be a mapping")
         return None
     r = _Reader(raw, "", errors)
-    scenario = r.get("scenario", lambda v: isinstance(v, str) and v != "",
-                     "must be a non-empty string")
+    scenario = r.get("scenario", _is_name, f"must be a non-empty string {_NAME_NEED}")
     description = r.get("description", default="")
     horizons = r.get(
         "horizons",
@@ -248,7 +254,8 @@ def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
     labels: set[str] = set()
     for k, entry in enumerate(policies or []):
         where = f"policies[{k}]"
-        _collect(errors, where, _read_policy, entry, where, topology, policy_T, env)
+        make = _collect(errors, where, _read_policy, entry, where, topology, policy_T, env)
+        _collect(errors, where, lambda _: make and make())
         if isinstance(entry, dict):
             label = policy_label(entry)
             if label in labels:
@@ -379,12 +386,13 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
 def _read_policy(
     errors: list[str], entry, where: str, topology: TreeTopology | None, T: int | None,
     env: CostEnvironment | None,
-) -> dict[int, NodePolicy] | None:
+) -> Callable[[], dict[int, NodePolicy]] | None:
     r = _Reader(entry, where, errors)
     name = r.get("name", lambda v: v in POLICY_NAMES, f"must be one of {POLICY_NAMES}")
     if name is None:
         return None
-    r.get("label", default=None)  # any value; policy_label() names the output rows
+    r.get("label", lambda v: (isinstance(v, str) or _is_num(v)) and _is_name(str(v)),
+          f"must be a non-empty string or a number {_NAME_NEED}", None)  # see policy_label()
     L = topology.depth if topology is not None else None
     D = topology.max_fanout if topology is not None else None
     if name == "eps_exp3":
@@ -464,7 +472,7 @@ def _read_policy(
     r.finish()
     if not r.ok or topology is None or T is None:
         return None
-    return {node: make(node, len(topology.children[node])) for node in topology.non_leaves}
+    return lambda: {node: make(node, len(topology.children[node])) for node in topology.non_leaves}
 
 
 def _read_trace(errors: list[str], spec, topology: TreeTopology | None) -> dict | None:
@@ -541,7 +549,7 @@ def build_policies(
     entry: dict, topology: TreeTopology, T: int, env: CostEnvironment | None
 ) -> dict[int, NodePolicy]:
     """Instantiate one policy object per non-leaf node for one seeded run on ``env``."""
-    return _strict(_read_policy, entry, "policy", topology, T, env)
+    return _strict(_read_policy, entry, "policy", topology, T, env)()
 
 
 def policy_label(entry: dict) -> str:
@@ -597,30 +605,23 @@ def run_one(
     T: int,
     seed: int,
     topology: TreeTopology,
+    env: CostEnvironment,
+    make_policies: Callable[[], dict[int, NodePolicy]],
     with_trace: bool = False,
 ):
-    """Run a single seeded replication on ``topology``, which is
-    ``config.topology`` built; returns (SeedResult, trace rows)."""
-    env = build_env(config.env, topology, T)
-    policies = build_policies(policy_entry, topology, T, env)
+    """Run one seeded replication on ``env``, which every seed of ``T`` shares, with
+    the fresh policies ``make_policies()`` builds; returns (SeedResult, trace rows)."""
+    policies = make_policies()
     # normalized_eg learns from every child's cost (one-hop feedback); every
     # other policy learns from the end-to-end cost alone
     one_hop = isinstance(policies[0], NormalizedEG)
-    sim = Simulation(
-        topology,
-        policies,
-        env,
-        FeedbackModel.COMPLETE_ONE_HOP if one_hop else FeedbackModel.END_TO_END_BANDIT,
-        entropy=(config.master_seed, T, seed),
-    )
-    trace = None
-    if with_trace and config.trace is not None:
-        trace = TraceRecorder(**config.trace)
+    feedback = FeedbackModel.COMPLETE_ONE_HOP if one_hop else FeedbackModel.END_TO_END_BANDIT
+    sim = Simulation(topology, policies, env, feedback, entropy=(config.master_seed, T, seed))
+    trace = TraceRecorder(**config.trace) if with_trace and config.trace is not None else None
     ledger = sim.run(T, trace=trace)
-    label = policy_label(policy_entry)
     row = SeedResult(
         scenario=config.scenario,
-        policy=label,
+        policy=policy_label(policy_entry),
         T=T,
         seed=seed,
         cumulative_cost=float(ledger.cumulative_algorithm_cost),
@@ -648,11 +649,14 @@ def run_experiment(
         label = policy_label(entry)
         for T in sorted(config.horizons):
             t0 = time.perf_counter()
+            env = build_env(config.env, topology, T)
+            # read once per (policy, T); each seed's policies are built fresh
+            make = _strict(_read_policy, entry, "policy", topology, T, env)
             ta_values = []
             trace_acc: np.ndarray | None = None
             trace_key_rows: list[tuple[int, int, int]] | None = None
             for seed in range(config.seeds):
-                row, trace_rows = run_one(config, entry, T, seed, topology, with_trace)
+                row, trace_rows = run_one(config, entry, T, seed, topology, env, make, with_trace)
                 results.seed_rows.append(row)
                 ta_values.append(row.regret / T if T > 0 else 0.0)
                 if trace_rows:

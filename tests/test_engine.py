@@ -322,18 +322,32 @@ class TestDeterminism:
     def test_only_nodes_on_the_path_are_seeded(self, monkeypatch):
         topo = build_uniform_tree(4, 3)
         seeded = []
-        default_rng = np.random.default_rng
+        generator = engine._generator
 
-        def recording(seed):
-            seeded.append(list(seed))
-            return default_rng(seed)
+        def recording(words):
+            seeded.append(list(words))
+            return generator(words)
 
-        monkeypatch.setattr(np.random, "default_rng", recording)
+        monkeypatch.setattr(engine, "_generator", recording)
         sim = make_bandit_sim(topo, np.linspace(0.9, 0.1, 64),
                               lambda k: EpsilonExp3(k, eta=0.3, epsilon=0.5), (5, 6))
         assert seeded == [[5, 6, 0]]  # the environment's stream only
         path = sim.run_round(1).path
         assert seeded == [[5, 6, 0]] + [[5, 6, 1, node] for node in path[:-1]]
+
+    @pytest.mark.parametrize("entropy", [(0,), (0, 0, 0), (2**40 + 7, 1, 0), (5, 2**33, 2**70)])
+    def test_streams_equal_default_rng_on_the_same_keys(self, entropy):
+        topo = build_uniform_tree(3, 2)  # non-leaves 0..3, node 0 included
+        env_rng, node_rngs = rng_streams(topo, entropy)
+        want = np.random.default_rng(list(entropy) + [0]).random(600)
+        assert np.array_equal(env_rng.random(600), want)
+        for node in topo.non_leaves:
+            got = [node_rngs[node].random() for _ in range(600)]
+            assert got == np.random.default_rng(list(entropy) + [1, node]).random(600).tolist()
+
+    def test_negative_stream_key_rejected(self):
+        with pytest.raises(EngineError, match="non-negative"):
+            rng_streams(build_uniform_tree(2, 1), (3, -1))
 
     def test_rng_streams_are_distinct(self):
         topo = build_uniform_tree(2, 2)

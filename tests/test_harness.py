@@ -57,6 +57,14 @@ class CsvText(str):
     file and puts the file's path in its place."""
 
 
+def run_seed(cfg, T, seed, entry=None):
+    """``run_one`` on a topology, env and policy entry read afresh for this seed."""
+    entry = cfg.policies[0] if entry is None else entry
+    topo = build_topology(cfg.topology)
+    env = build_env(cfg.env, topo, T)
+    return run_one(cfg, entry, T, seed, topo, env, lambda: build_policies(entry, topo, T, env))
+
+
 def base_config(**overrides):
     raw = {
         "scenario": "unit",
@@ -170,6 +178,20 @@ def test_missing_required_key_reported(key):
         ),
         ({"policies": [{"name": "exp3", "eta_scale": 5.0}]}, "policies[0].eta_scale"),
         ({"policies": [{"name": "exp3", "eta": 0.5, "eta_scale": 5.0}]}, "policies[0].eta_scale"),
+        # these broke the outputs: a trace file name, an extra CSV column, rows
+        # labelled None
+        ({"policies": [{"name": "uniform", "label": "a/b"}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": "a,b"}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": None}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": ""}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": 'say "hi"'}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": "two\nlines"}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": "a\\b"}]}, "policies[0].label"),
+        ({"policies": [{"name": "uniform", "label": True}]}, "policies[0].label"),
+        ({"scenario": "a,b"}, "scenario"),
+        ({"scenario": "a\rb"}, "scenario"),
+        ({"scenario": None}, "scenario"),
+        ({"scenario": 5}, "scenario"),
     ],
 )
 def test_errors_name_the_offending_key(patch, key, tmp_path):
@@ -434,6 +456,9 @@ def test_build_env_csv(tmp_path):
     assert isinstance(env, CsvMatrixEnv)
     assert np.allclose(env.expected_costs(1), [0.1, 0.2])
     assert np.allclose(env.expected_costs(2), [0.3, 0.4])
+    # one env serves every seed of a horizon, so the views it hands out are read-only
+    assert not env.costs_block(1, 2, None).flags.writeable
+    assert not env.expected_costs(1).flags.writeable
 
 
 def test_build_env_mec_uses_horizon():
@@ -455,7 +480,7 @@ def test_policy_feedback_defaults_and_override(monkeypatch):
     monkeypatch.setattr(harness, "Simulation", recording)
     for name in ("normalized_eg", "eps_exp3", "exp3", "uniform"):
         cfg = ExperimentConfig.from_dict(base_config(policies=[{"name": name}]))
-        run_one(cfg, cfg.policies[0], 10, 0, build_topology(cfg.topology))
+        run_seed(cfg, 10, 0)
     assert used == [
         FeedbackModel.COMPLETE_ONE_HOP,
         FeedbackModel.END_TO_END_BANDIT,
@@ -566,7 +591,7 @@ def test_run_one_stationary_on_best_leaf_has_zero_regret():
             policies=[{"name": "stationary", "leaf": 6}],
         )
     )
-    row, trace_rows = run_one(cfg, cfg.policies[0], 20, 0, build_topology(cfg.topology))
+    row, trace_rows = run_seed(cfg, 20, 0)
     assert row.regret == 0.0
     assert row.cumulative_cost == 0.0
     assert trace_rows == []
@@ -604,6 +629,22 @@ def test_run_experiment_is_deterministic():
     second = run_experiment(cfg)
     assert first.aggregates == second.aggregates
     assert first.seed_rows == second.seed_rows
+
+
+@pytest.mark.parametrize("kind", ["csv", "deadline_multihop"])
+def test_one_env_per_horizon_gives_the_rows_of_a_fresh_env_per_seed(kind, tmp_path):
+    env = {"kind": kind, "deadline": 0.4}
+    if kind == "csv":
+        costs = np.random.default_rng(3).random((20, 4)).tolist()
+        path = tmp_path / "costs.csv"
+        path.write_text("3,4,5,6\n" + "".join(",".join(map(repr, row)) + "\n" for row in costs))
+        env = {"kind": kind, "path": str(path)}
+    policies = [{"name": "eps_exp3"}, {"name": "normalized_eg"}, {"name": "oracle_chain"}]
+    cfg = ExperimentConfig.from_dict(base_config(env=env, policies=policies, seeds=3))
+    fresh = [run_seed(cfg, T, seed, entry)[0]
+             for entry in cfg.policies for T in sorted(cfg.horizons) for seed in range(3)]
+    assert len({row.cumulative_cost for row in fresh}) > 3
+    assert run_experiment(cfg).seed_rows == fresh
 
 
 def test_run_experiment_master_seed_changes_draws():

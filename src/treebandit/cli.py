@@ -120,8 +120,15 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args, with_trace: bool) -> int:
     raw = apply_overrides(resolve_raw_config(args), args)
     config = ExperimentConfig.from_dict(raw)
-    if with_trace and config.trace is None:
-        raise ConfigError(["trace: config has no trace section (window + watched pairs)"])
+    if with_trace:
+        if config.trace is None:
+            raise ConfigError(["trace: config has no trace section (window + watched pairs)"])
+        # a trace holds only full windows, so these horizons would write no trace file
+        window = config.trace["window"]
+        short = [T for T in config.horizons if T < window]
+        if short:
+            raise ConfigError([f"trace.window: {window} is longer than horizons {short}; "
+                               "every horizon must fit a full window"])
 
     def progress(label, T, mean, std, secs):
         print(f"{config.scenario} {label} T={T}: mean_ta_regret={mean:.6g} "

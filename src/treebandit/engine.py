@@ -23,6 +23,12 @@ Two feedback models:
 Communication per hop is two scalars (v down, cost up); the recursion's
 call boundary stands in for the message exchange.
 
+Randomness comes from one environment stream and one stream per non-leaf,
+each keyed by the run's entropy (``rng_streams``). The PCG64 seed states of
+all non-leaves are computed at once per replication by a copy of numpy's
+SeedSequence hash, which the tests pin to numpy's; a node's generator is
+built from its state at the node's first visit.
+
 Policies that require expected costs (the oracle) get them from one
 recursion of w from the root over the start-of-round distributions, run
 after any segment restart and before the trace and the routing of each
@@ -32,8 +38,10 @@ expected-cost array, or some non-leaf's distribution is not fixed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -154,42 +162,146 @@ def _words(ints) -> list[int]:
 
 def _generator(words: list[int]) -> np.random.Generator:
     """``default_rng(key)`` for the key whose words are ``words``, minus its list
-    coercion. Every stream is seeded here; tests patch it to record the keys."""
+    coercion. The environment stream is seeded here; tests patch it to record the key."""
     seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _buffered_floats(words: list[int]):
-    """The floats that successive ``_generator(words).random()`` calls
-    return, fetched in buffers; the generator is seeded on the first draw."""
-    gen = _generator(words)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) at its default pool size
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _state_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of the 8 uint32 words ``generate_state(4, uint64)`` makes."""
+    consts = [_INIT_B]
+    for _ in range(2 * _POOL_SIZE):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
+
+
+_STATE_XOR, _STATE_MULT = _state_constants()
+
+
+def _times(x, c: int):
+    """x * c mod 2**32, for a Python int or a uint32 array x (which wraps by itself)."""
+    return x * c & _MASK32 if type(x) is int else x * c
+
+
+def _mix(x, y):
+    v = _times(x, _MIX_MULT_L) - _times(y, _MIX_MULT_R)
+    if type(v) is int:
+        v &= _MASK32
+    return v ^ v >> _XSHIFT
+
+
+def _seed_states(base: list[int], nodes) -> np.ndarray:
+    """Row k is ``SeedSequence(base + [nodes[k]]).generate_state(4, np.uint64)``,
+    the PCG64 seed of that key, for every k in one pass.
+
+    This is SeedSequence's ``mix_entropy`` and ``generate_state``. The words
+    that every key shares are mixed once as Python ints, each product masked
+    to 32 bits; only the node word is an array, and uint32 arithmetic wraps.
+    """
+    key = [*base, np.array(nodes, dtype=np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = _times(value, hash_const)
+        return value ^ value >> _XSHIFT
+
+    pool = [hashmix(key[i] if i < len(key) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in key[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # the node word has reached every pool word, so each is an array by now;
+    # generate_state cycles twice through the pool and pairs the words little-endian
+    state = np.stack(pool * 2, axis=1)
+    state ^= _STATE_XOR
+    state *= _STATE_MULT
+    state ^= state >> _XSHIFT
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """The seed sequence stand-in that node streams build ``PCG64`` from.
+    Defined at first use, so that importing the package leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        """Hands ``PCG64`` a seed state computed by ``_seed_states``."""
+
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # what PCG64 asks for; any other request would need another hash
+            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+                raise EngineError(
+                    f"a node seed state is {_POOL_SIZE} uint64 words, "
+                    f"asked for {n_words} of {np.dtype(dtype)}"
+                )
+            return self.state
+
+    return SeedState
+
+
+def _node_generator(state: np.ndarray) -> np.random.Generator:
+    """The Generator of ``PCG64`` seeded with ``state``. Every node stream is
+    seeded here, at its first draw; tests patch it to record the states."""
+    return np.random.Generator(np.random.PCG64(_seed_state_type()(state)))
+
+
+def _float_buffers(state: np.ndarray):
+    """Lists of the floats that successive ``random()`` calls of the node's
+    Generator return; the generator is built when the first list is asked for."""
+    gen = _node_generator(state)
     size = NODE_BUFFER_FIRST
     while True:
-        yield from gen.random(size).tolist()
+        yield gen.random(size).tolist()
         size = min(2 * size, NODE_BUFFER_CAP)
 
 
 class NodeStream:
-    """A node's random stream: ``random()`` returns the next float of a numpy
-    Generator seeded with ``words``, as a Python float. Nothing is seeded until
-    the first call, so a node no job reaches costs no generator."""
+    """A node's random stream: ``random()`` returns the next float of the
+    Generator of ``PCG64`` seeded with ``state`` (a row of ``_seed_states``),
+    as a Python float. The generator is built at the first call, so a node
+    no job reaches costs no generator. ``random`` is the C-level ``__next__``
+    of a chain over the buffers, so a draw resumes no Python frame."""
 
     __slots__ = ("random",)
 
-    def __init__(self, words: list[int]) -> None:
-        self.random = _buffered_floats(words).__next__
+    def __init__(self, state: np.ndarray) -> None:
+        self.random = chain.from_iterable(_float_buffers(state)).__next__
 
 
 def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, list]:
     """Environment stream plus one stream per non-leaf node: ``default_rng``
     of (entropy..., 0) and of (entropy..., 1, node id), so replays are
     bit-exact and node draws are independent of traversal order.
+
+    The env stream is seeded through numpy's SeedSequence. The seed states of
+    all node streams are computed here at once by ``_seed_states``, a copy of
+    SeedSequence's hash that the tests pin to numpy's; each node's generator
+    is built from its state at the node's first draw.
     """
     base = _words(entropy)
     env_rng = _generator(base + [0])
     node_rngs: list = [None] * topology.node_count
-    for node in topology.non_leaves:
-        node_rngs[node] = NodeStream(base + [1, node])
+    for node, state in zip(topology.non_leaves, _seed_states(base + [1], topology.non_leaves)):
+        node_rngs[node] = NodeStream(state)
     return env_rng, node_rngs
 
 

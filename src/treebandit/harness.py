@@ -401,13 +401,19 @@ def _read_policy(
         eps = r.get("epsilon", lambda v: v == "horizon_tuned" or _unit(v),
                     "must be 'horizon_tuned' or in [0,1]", "horizon_tuned")
 
+        # (eta, epsilon) of each node, worked out once per (policy, T): the tuned
+        # values take one of two pairs, by whether the node's children are all leaves
+        params = {}
+        if r.ok and topology is not None and T is not None:
+            pairs = {}
+            for flag in (False, True):
+                tuned_eta, tuned_eps = default_params(T, L, D, flag)
+                pairs[flag] = (tuned_eta if eta == "horizon_tuned" else float(eta),
+                               tuned_eps if eps == "horizon_tuned" else float(eps))
+            params = {n: pairs[topology.children_all_leaves(n)] for n in topology.non_leaves}
+
         def make(node, K):
-            tuned_eta, tuned_eps = default_params(T, L, D, topology.children_all_leaves(node))
-            return EpsilonExp3(
-                K,
-                eta=tuned_eta if eta == "horizon_tuned" else float(eta),
-                epsilon=tuned_eps if eps == "horizon_tuned" else float(eps),
-            )
+            return EpsilonExp3(K, *params[node])
     elif name == "anytime_eps_exp3":
         def make(node, K):
             return AnytimeEpsilonExp3(

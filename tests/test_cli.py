@@ -192,6 +192,21 @@ def test_trace_subcommand_writes_trace_files(tiny_config, tmp_path):
     assert lines[1:] == ["10,0,1,1.0", "20,0,1,1.0"]
 
 
+def test_trace_rejects_horizons_shorter_than_the_window(tiny_config, tmp_path, capsys):
+    # no full window fits in 50 rounds: trace used to exit 0 and write no trace file
+    out = tmp_path / "out"
+    assert main(["trace", "fig8-transient", "--t", "50", "--seeds", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace.window: 1000 ")
+    assert "[50]" in err
+    assert main(["trace", tiny_config, "--trace-window", "11", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: trace.window: 11 ")
+    assert not out.exists()
+    # run ignores the window, as before
+    assert main(["run", "fig8-transient", "--t", "50", "--seeds", "1", "--out", str(out)]) == 0
+    assert os.path.exists(out / "per_seed.csv")
+
+
 def test_trace_requires_trace_section(tmp_path, capsys):
     path = tmp_path / "notrace.yaml"
     path.write_text(TINY_CONFIG.split("trace:")[0])

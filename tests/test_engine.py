@@ -314,7 +314,7 @@ class TestDeterminism:
 
     def test_node_stream_hands_out_the_generator_floats(self):
         # 600 draws run through several buffer refills, past the cap
-        stream = NodeStream([4, 1, 2])
+        stream = NodeStream(np.random.SeedSequence([4, 1, 2]).generate_state(4, np.uint64))
         got = [stream.random() for _ in range(600)]
         assert got == np.random.default_rng([4, 1, 2]).random(600).tolist()
         assert all(type(u) is float for u in got)
@@ -323,12 +323,23 @@ class TestDeterminism:
         topo = build_uniform_tree(4, 3)
         seeded = []
         generator = engine._generator
+        node_generator = engine._node_generator
+        # a node stream is seeded from its key's state, which names the key
+        key_of = {
+            np.random.SeedSequence([5, 6, 1, n]).generate_state(4, np.uint64).tobytes(): [5, 6, 1, n]
+            for n in topo.non_leaves
+        }
 
         def recording(words):
             seeded.append(list(words))
             return generator(words)
 
+        def recording_node(state):
+            seeded.append(key_of[state.tobytes()])
+            return node_generator(state)
+
         monkeypatch.setattr(engine, "_generator", recording)
+        monkeypatch.setattr(engine, "_node_generator", recording_node)
         sim = make_bandit_sim(topo, np.linspace(0.9, 0.1, 64),
                               lambda k: EpsilonExp3(k, eta=0.3, epsilon=0.5), (5, 6))
         assert seeded == [[5, 6, 0]]  # the environment's stream only

@@ -49,7 +49,7 @@ from treebandit.policy import (
     default_params,
     eg_default_eta,
 )
-from treebandit.topology import build_uniform_tree
+from treebandit.topology import build_chain_tree, build_uniform_tree
 
 
 class CsvText(str):
@@ -504,6 +504,20 @@ def test_build_policies_eps_exp3_horizon_tuned():
     leaf_parent = pols[1]
     assert leaf_parent.eta == eta
     assert leaf_parent.epsilon == 0.0
+
+
+@pytest.mark.parametrize("topo", [build_uniform_tree(3, 3), build_chain_tree(3)], ids=["uniform", "chain"])
+@pytest.mark.parametrize("T", [1, 100, 316, 10**6])
+def test_eps_exp3_policies_carry_default_params(topo, T):
+    # the tuned pairs are worked out once per (policy, T); every node of
+    # every seed gets exactly default_params' floats for its own class
+    make = harness._strict(harness._read_policy, {"name": "eps_exp3"}, "policy", topo, T, None)
+    half = harness._strict(harness._read_policy, {"name": "eps_exp3", "eta": 0.5}, "policy", topo, T, None)
+    for pols in (make(), make()):
+        for node in topo.non_leaves:
+            want = default_params(T, topo.depth, topo.max_fanout, topo.children_all_leaves(node))
+            assert (pols[node].eta, pols[node].epsilon) == want
+            assert (half()[node].eta, half()[node].epsilon) == (0.5, want[1])
 
 
 def test_build_policies_eps_exp3_explicit_overrides():

@@ -1,5 +1,6 @@
-"""The package root exports exactly the names in ``__all__``, and loading
-the CLI and a config does not import scipy.linalg."""
+"""The package root exports exactly the names in ``__all__``, importing it
+does not import numpy.random, and loading the CLI and a config does not
+import scipy.linalg."""
 
 import os
 import subprocess
@@ -21,16 +22,26 @@ def test_root_exports_exactly_all():
         assert getattr(treebandit, name) is not None
 
 
-def test_cli_and_config_load_do_not_import_scipy_linalg():
-    # a fresh interpreter, since this test process may have imported scipy already
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter, since this test process may
+    have imported the module in question already."""
     package_root = str(Path(treebandit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_cli_and_config_load_do_not_import_scipy_linalg():
     code = (
         "import sys, treebandit.cli\n"
         "from treebandit.harness import ExperimentConfig, load_scenario\n"
         "ExperimentConfig.from_dict(load_scenario('fig10-multihop'))\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=package_root)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert _run_fresh(code) == "False"
+
+
+def test_package_import_does_not_import_numpy_random():
+    # node seeding defines its numpy.random subclass at the first run instead
+    assert _run_fresh("import sys, treebandit, treebandit.cli\nprint('numpy.random' in sys.modules)") == "False"

@@ -174,17 +174,11 @@ _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _state_constants() -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants of the 8 uint32 words ``generate_state(4, uint64)`` makes."""
-    consts = [_INIT_B]
-    for _ in range(2 * _POOL_SIZE):
-        consts.append(consts[-1] * _MULT_B & _MASK32)
-    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
-
-
-_STATE_XOR, _STATE_MULT = _state_constants()
+# the values generate_state's hash constant takes over its 8 uint32 words
+_STATE_CONSTS = np.array(
+    [_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(2 * _POOL_SIZE + 1)],
+    dtype=np.uint32,
+)
 
 
 def _times(x, c: int):
@@ -228,8 +222,8 @@ def _seed_states(base: list[int], nodes) -> np.ndarray:
     # the node word has reached every pool word, so each is an array by now;
     # generate_state cycles twice through the pool and pairs the words little-endian
     state = np.stack(pool * 2, axis=1)
-    state ^= _STATE_XOR
-    state *= _STATE_MULT
+    state ^= _STATE_CONSTS[:-1]
+    state *= _STATE_CONSTS[1:]
     state ^= state >> _XSHIFT
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -248,10 +242,9 @@ def _seed_state_type() -> type:
 
         def generate_state(self, n_words, dtype=np.uint32):
             # what PCG64 asks for; any other request would need another hash
-            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
                 raise EngineError(
-                    f"a node seed state is {_POOL_SIZE} uint64 words, "
-                    f"asked for {n_words} of {np.dtype(dtype)}"
+                    f"a node seed state is 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}"
                 )
             return self.state
 

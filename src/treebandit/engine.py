@@ -386,13 +386,6 @@ class Simulation:
                 val += p * w
         return val
 
-    def conditional_expected_cost(self, node: int, t: int) -> float:
-        """w[node, t]: expected realized cost of a job arriving at ``node``
-        now, under every descendant's current distribution."""
-        self.topology._check(node)
-        self._refreshed = None  # the subtree's oracles now hold round t's costs
-        return self._w(node, self.env.expected_costs(t))
-
     def _bandit_round(self, block: np.ndarray, i: int):
         """Route a job on the costs in block row i and update the path.
 

@@ -14,6 +14,7 @@ of ``topology.leaves[k]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,25 +260,30 @@ class DeadlineLatencyEnv(CostEnvironment):
 def hypoexponential_survival(budget: float, rates) -> float:
     """P(sum of independent Exp(rate_k) delays > budget).
 
-    Uses the phase-type representation: the survival function is the total
-    remaining mass of a pure-death Markov chain after time ``budget``, i.e.
-    the first row sum of expm(M * budget) with M the bidiagonal generator.
-    Exact for repeated rates, unlike the partial-fraction formula.
+    The first row sum of expm(M * budget), M the generator of the pure-death
+    chain through the delays. Uniformization (Jensen 1953) gives expm(M h) as
+    exp(-L h) sum_n (L h)**n / n! (I + M / L)**n, with no negative term, for L
+    the largest rate and h = budget / 2**s <= 1 / L. It is squared s times,
+    each time resetting the diagonal to exp(-rate * t) so errors do not double.
     """
-    # deferred: scipy.linalg is slow to import and only deadline expected costs need it
-    from scipy.linalg import expm
-
     if budget <= 0.0:
         return 1.0
-    k = len(rates)
-    if k == 0:
+    if len(rates) == 0:
         return 0.0
-    gen = np.zeros((k, k))
-    for i, lam in enumerate(rates):
-        gen[i, i] = -lam
-        if i + 1 < k:
-            gen[i, i + 1] = lam
-    return float(np.clip(expm(gen * budget)[0].sum(), 0.0, 1.0))
+    rates = np.asarray(rates, dtype=float)
+    top = rates.max()
+    s = max(0, math.ceil(math.log2(top) + math.log2(budget)))  # no overflow
+    step = math.ldexp(budget, -s)
+    jump = np.diag(1.0 - rates / top) + np.diag(rates[:-1] / top, 1)
+    term = prob = math.exp(-top * step) * np.eye(len(rates))
+    for n in range(1, 30):  # top * step <= 1, so the tail is below 1/30!
+        term = term @ jump * (top * step / n)
+        prob = prob + term
+    with np.errstate(over="ignore"):  # a rate * t past the float range has exp 0
+        for j in range(s + 1):
+            prob = prob @ prob if j else prob
+            np.fill_diagonal(prob, np.exp(-rates * math.ldexp(step, j)))
+    return float(np.clip(prob[0].sum(), 0.0, 1.0))
 
 
 def make_mec_env(

@@ -223,6 +223,26 @@ def test_trace_requires_trace_section(tmp_path, capsys):
     assert main(["validate", str(path), *window]) == 0
 
 
+def test_oracle_on_a_near_instant_deadline_link_runs(tmp_path):
+    # validate accepts any finite rate; the deadline survival used to be NaN
+    # at constant_rate 1e300, so exp_decay exited 1 and constant wrote nan
+    path = tmp_path / "fast.yaml"
+    path.write_text(
+        "scenario: fast\n"
+        "topology: {kind: uniform, fanout: 2, depth: 2}\n"
+        "env: {kind: deadline_multihop, constant_rate: 1.0e300, deadline: 2.0}\n"
+        "horizons: [10]\n"
+        "seeds: 1\n"
+        "policies:\n"
+        "  - {name: oracle_chain, profile: exp_decay}\n"
+        "  - {name: oracle_chain, profile: constant, label: constant}\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert "nan" not in read(out / "per_seed.csv")
+
+
 def test_numerical_error_exits_two(tiny_config, tmp_path, capsys, monkeypatch):
     import treebandit.cli as cli_mod
 

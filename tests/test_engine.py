@@ -1,5 +1,6 @@
 """Engine tests: routing, receive probabilities, feedback isolation,
-regret accounting, replay determinism, and conditional expected cost."""
+regret accounting, replay determinism, and the conditional expected cost
+that the engine hands to oracles."""
 
 import math
 
@@ -30,7 +31,7 @@ from treebandit.policy import (
     default_params,
     exp_decay_forward_prob,
 )
-from treebandit.topology import build_chain_tree, build_uniform_tree
+from treebandit.topology import TreeTopology, build_chain_tree, build_uniform_tree
 
 
 def uniform_tree_policies(topology, factory):
@@ -369,31 +370,57 @@ class TestDeterminism:
         assert len(draws) == 1 + len(topo.non_leaves)
 
 
+class SeesW(UniformRandomPolicy):
+    """A uniform policy that asks for expected costs, so the engine's
+    recursion hands it the w of its children at every refresh."""
+
+    requires_expected_costs = True
+
+    def set_expected_costs(self, child_ws):
+        self.seen = list(child_ws)
+
+
+def w_at_round_1(topology, policies, env):
+    """w[node, 1] of every node the engine's recursion hands to a ``SeesW``:
+    the children of each ``SeesW`` in ``policies``, and the root, since the
+    tree runs under a one-child stem whose policy is a ``SeesW`` too."""
+    shifted = tuple(tuple(c + 1 for c in kids) for kids in topology.children)
+    stem = SeesW(1)
+    sim = Simulation(TreeTopology(((1,),) + shifted),
+                     {0: stem, **{n + 1: pol for n, pol in policies.items()}},
+                     env, FeedbackModel.END_TO_END_BANDIT, (1,))
+    sim.run_round(1)
+    ws = {0: stem.seen[0]}
+    for node, pol in policies.items():
+        if isinstance(pol, SeesW):
+            ws.update(zip(topology.children[node], pol.seen))
+    return ws
+
+
 class TestConditionalExpectedCost:
     def test_leaf_value_is_environment_mean(self):
         topo = build_uniform_tree(2, 2)
-        sim = make_bandit_sim(topo, [0.8, 0.2, 0.6, 0.4],
-                              lambda k: UniformRandomPolicy(k))
-        assert sim.conditional_expected_cost(3, 1) == pytest.approx(0.8)
-        assert sim.conditional_expected_cost(6, 1) == pytest.approx(0.4)
+        ws = w_at_round_1(topo, uniform_tree_policies(topo, SeesW),
+                          BernoulliTreeEnv([0.8, 0.2, 0.6, 0.4]))
+        assert ws[3] == pytest.approx(0.8)
+        assert ws[6] == pytest.approx(0.4)
 
     def test_uniform_policies_average_the_leaves(self):
         topo = build_uniform_tree(2, 2)
-        sim = make_bandit_sim(topo, [0.8, 0.2, 0.6, 0.4],
-                              lambda k: UniformRandomPolicy(k))
-        assert sim.conditional_expected_cost(1, 1) == pytest.approx(0.5)
-        assert sim.conditional_expected_cost(2, 1) == pytest.approx(0.5)
-        assert sim.conditional_expected_cost(0, 1) == pytest.approx(0.5)
+        ws = w_at_round_1(topo, uniform_tree_policies(topo, SeesW),
+                          BernoulliTreeEnv([0.8, 0.2, 0.6, 0.4]))
+        assert ws[1] == pytest.approx(0.5)
+        assert ws[2] == pytest.approx(0.5)
+        assert ws[0] == pytest.approx(0.5)
 
     def test_mixed_policies(self):
         topo = build_uniform_tree(2, 2)
         env = BernoulliTreeEnv([0.8, 0.2, 0.6, 0.4])
-        policies = {0: UniformRandomPolicy(2), 1: StationaryPolicy(2, 1),
-                    2: StationaryPolicy(2, 0)}
-        sim = Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, (1,))
-        assert sim.conditional_expected_cost(1, 1) == pytest.approx(0.2)
-        assert sim.conditional_expected_cost(2, 1) == pytest.approx(0.6)
-        assert sim.conditional_expected_cost(0, 1) == pytest.approx(0.4)
+        policies = {0: SeesW(2), 1: StationaryPolicy(2, 1), 2: StationaryPolicy(2, 0)}
+        ws = w_at_round_1(topo, policies, env)
+        assert ws[1] == pytest.approx(0.2)
+        assert ws[2] == pytest.approx(0.6)
+        assert ws[0] == pytest.approx(0.4)
 
     def test_requires_expected_costs_and_env_without_them(self):
         class DrawOnlyEnv(CostEnvironment):
@@ -405,10 +432,10 @@ class TestConditionalExpectedCost:
                 return (rng.random((n, 2)) < 0.5).astype(float)
 
         topo = build_uniform_tree(2, 1)
-        sim = Simulation(topo, {0: UniformRandomPolicy(2)}, DrawOnlyEnv(),
-                         FeedbackModel.END_TO_END_BANDIT, (1,))
+        sim = Simulation(topo, {0: OraclePolicy(2, constant_forward_prob(0.3))},
+                         DrawOnlyEnv(), FeedbackModel.END_TO_END_BANDIT, (1,))
         with pytest.raises(EnvError):
-            sim.conditional_expected_cost(0, 1)
+            sim.run_round(1)
 
 
 class TestOracleWiring:
@@ -416,7 +443,14 @@ class TestOracleWiring:
         topo = build_chain_tree(2)
         env = LowerBoundChainEnv(2, 0.1)
         forward = constant_forward_prob(0.3)
-        policies = {0: OraclePolicy(2, forward), 1: OraclePolicy(2, forward)}
+        root_saw = []
+
+        class Root(OraclePolicy):
+            def set_expected_costs(self, child_costs):
+                root_saw.append(list(child_costs))
+                super().set_expected_costs(child_costs)
+
+        policies = {0: Root(2, forward), 1: OraclePolicy(2, forward)}
         sim = Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, (4,))
         out = sim.run_round(1)
         assert out.path[0] == 0
@@ -424,7 +458,7 @@ class TestOracleWiring:
         # node 1 saw the two deep-leaf means, root saw (shallow leaf, w(node 1))
         deep = policies[1].distribution()
         assert len(deep) == 2
-        w1 = sim.conditional_expected_cost(1, 1)
+        w1 = root_saw[0][1]
         assert 0.0 <= w1 <= 1.0
 
     def test_oracle_greedy_goes_to_cheap_leaf(self):
@@ -487,21 +521,6 @@ class TestOracleWiring:
             sim.run(30, trace=trace)
             oracles = [n for n in topo.non_leaves if isinstance(policies[n], OraclePolicy)]
             assert sorted(calls) == [(t, n) for t in rounds for n in oracles]
-
-    def test_no_stale_oracle_after_conditional_expected_cost(self):
-        # conditional_expected_cost at a post-shift round sets the oracle
-        # from the post-shift means; the next round must set it back
-        env = BernoulliTreeEnv([0.9, 0.2], shift_round=5)
-        root = OraclePolicy(2, exp_decay_forward_prob(0.9))
-        sim = Simulation(build_uniform_tree(2, 1), {0: root}, env,
-                         FeedbackModel.END_TO_END_BANDIT, (3,))
-        sim.run_round(1)
-        pre_shift = list(root.distribution())
-        sim.conditional_expected_cost(0, 10)
-        assert root.distribution() != pre_shift
-        sim.run_round(2)
-        assert root.distribution() == pre_shift
-        assert root.distribution() == pytest.approx([0.4469, 0.5531], abs=1e-4)
 
     def test_oracle_root_follows_its_learning_children(self):
         topo = build_uniform_tree(2, 2)

@@ -177,6 +177,43 @@ class TestHypoexponentialSurvival:
         assert hypoexponential_survival(-0.5, [1.0]) == 1.0
         assert hypoexponential_survival(2.0, []) == 0.0
 
+    def test_near_instant_delay_adds_nothing(self):
+        # validate accepts any finite rate; expm of this generator overflowed to NaN
+        assert_allclose(hypoexponential_survival(2.0, [1e300, 1.0]), math.exp(-2.0), rtol=1e-12)
+
+    def test_closed_forms_on_a_seeded_grid(self):
+        # Erlang for 1-6 equal rates, and two distinct rates with rate * budget
+        # up to 1e6 and rate ratios up to 1e20, in either order
+        gen = np.random.default_rng(11)
+        for _ in range(1000):
+            budget = 10.0 ** gen.uniform(-3, 1)
+            x = 10.0 ** gen.uniform(-3, 6)
+            fast = x / budget
+            n = int(gen.integers(1, 7))
+            erlang = math.exp(-x) * sum(x**j / math.factorial(j) for j in range(n))
+            assert abs(hypoexponential_survival(budget, [fast] * n) - erlang) <= 1e-12
+            slow = fast / 10.0 ** gen.uniform(0, 20)
+            # (fast e^-slow*b - slow e^-fast*b) / (fast - slow), written without cancellation
+            a = math.exp(-slow * budget)
+            two = a - slow * a * math.expm1(-(fast - slow) * budget) / (fast - slow)
+            rates = [slow, fast] if gen.random() < 0.5 else [fast, slow]
+            assert abs(hypoexponential_survival(budget, rates) - two) <= 1e-12
+
+    def test_matches_scipy_expm(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        # 1-6 rates up to 1e6, 30% of them repeats, budgets 1e-3 to 10
+        gen = np.random.default_rng(5)
+        for _ in range(3000):
+            rates = []
+            for _ in range(int(gen.integers(1, 7))):
+                repeat = rates and gen.random() < 0.3
+                rates.append(rates[int(gen.integers(len(rates)))] if repeat
+                             else 10.0 ** gen.uniform(-1, 6))
+            budget = 10.0 ** gen.uniform(-3, 1)
+            generator = np.diag(-np.array(rates)) + np.diag(rates[:-1], 1)
+            want = min(1.0, expm(generator * budget)[0].sum())
+            assert abs(hypoexponential_survival(budget, rates) - want) <= 1e-12
+
 
 class TestDeadlineLatencyEnv:
     def _simple_env(self):

@@ -1,6 +1,6 @@
 """The package root exports exactly the names in ``__all__``, importing it
-does not import numpy.random, and loading the CLI and a config does not
-import scipy.linalg."""
+does not import numpy.random, and the deadline expected costs an oracle
+reads need no scipy."""
 
 import os
 import subprocess
@@ -32,14 +32,22 @@ def _run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_cli_and_config_load_do_not_import_scipy_linalg():
+def test_deadline_oracle_runs_without_scipy():
+    # None in sys.modules makes every import of scipy raise ImportError
     code = (
-        "import sys, treebandit.cli\n"
-        "from treebandit.harness import ExperimentConfig, load_scenario\n"
-        "ExperimentConfig.from_dict(load_scenario('fig10-multihop'))\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from treebandit.harness import ExperimentConfig, run_experiment\n"
+        "config = ExperimentConfig.from_dict({\n"
+        "    'scenario': 'oracle-multihop',\n"
+        "    'topology': {'kind': 'uniform', 'fanout': 2, 'depth': 3},\n"
+        "    'env': {'kind': 'deadline_multihop'},\n"
+        "    'horizons': [20], 'seeds': 1,\n"
+        "    'policies': [{'name': 'oracle_chain'}],\n"
+        "})\n"
+        "print(len(run_experiment(config).seed_rows))\n"
     )
-    assert _run_fresh(code) == "False"
+    assert _run_fresh(code) == "1"
 
 
 def test_package_import_does_not_import_numpy_random():

@@ -45,7 +45,7 @@ from treebandit.policy import (  # noqa: E402
     exp_decay_forward_prob,
     stable_softmax,
 )
-from treebandit.topology import build_uniform_tree  # noqa: E402
+from treebandit.topology import TreeTopology, build_uniform_tree  # noqa: E402
 
 KINDS = ("eps_exp3", "anytime", "exp3", "normalized_eg", "stationary", "uniform", "oracle")
 
@@ -203,6 +203,16 @@ def test_select_leaves_stream_where_parent_did(case):
             break
 
 
+class SeesW(UniformRandomPolicy):
+    """A uniform policy that asks for expected costs, so the engine's
+    recursion hands it the w of its children at every refresh."""
+
+    requires_expected_costs = True
+
+    def set_expected_costs(self, child_ws):
+        self.seen = list(child_ws)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     fanout=st.integers(3, 4),
@@ -215,8 +225,13 @@ def test_expected_cost_recursion_adds_left_to_right(fanout, depth, eta, seed):
     gen = np.random.default_rng(seed)
     means = gen.random(len(topo.leaves))
     policies = {n: EpsilonExp3(fanout, eta, 0.1) for n in topo.non_leaves}
+    # the tree runs under a one-child stem, whose policy asks for expected
+    # costs, so the engine hands it w of the tree's root at every round
+    stem = SeesW(1)
+    shifted = tuple(tuple(c + 1 for c in kids) for kids in topo.children)
     sim = Simulation(
-        topo, policies, BernoulliTreeEnv(means), FeedbackModel.END_TO_END_BANDIT, entropy=(seed,)
+        TreeTopology(((1,),) + shifted), {0: stem, **{n + 1: p for n, p in policies.items()}},
+        BernoulliTreeEnv(means), FeedbackModel.END_TO_END_BANDIT, entropy=(seed,)
     )
     sim.run(30)
 
@@ -227,4 +242,6 @@ def test_expected_cost_recursion_adds_left_to_right(fanout, depth, eta, seed):
         terms = [p * w(c) for p, c in zip(policies[node].distribution(), kids)]
         return functools.reduce(operator.add, terms)
 
-    assert sim.conditional_expected_cost(0, 31) == w(0)
+    want = w(0)
+    sim.run_round(31)
+    assert stem.seen == [want]

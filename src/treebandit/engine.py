@@ -7,7 +7,8 @@ draw feeds both the policies (as bandit or one-hop feedback) and the regret
 ledger, so regret is measured on the sample path the algorithm actually saw.
 Draws are fetched a block of rounds at a time, which changes no value: a
 block of draws from a numpy Generator equals the same draws made one call
-at a time, and the ledger adds the block's rows in round order.
+at a time, and the ledger adds the block's rows in round order (numpy's
+reduce down the rows of a block, whose order a test pins).
 
 Two feedback models:
 
@@ -90,6 +91,9 @@ class RegretLedger:
         Both totals are summed round by round, in order, so they hold the
         same floats whatever the block size. Adding ``leaf_costs.sum(axis=0)``
         to the running total would not: deadline costs are not integers.
+        The leaf totals are the running total stacked on the block and reduced
+        down the rows: with two or more columns numpy adds the rows in order,
+        but a single column it sums pairwise, so that one is accumulated.
         """
         total = self.cumulative_algorithm_cost
         for cost in realized_costs:
@@ -98,8 +102,10 @@ class RegretLedger:
         running = np.empty((len(leaf_costs) + 1, self.cumulative_leaf_costs.size))
         running[0] = self.cumulative_leaf_costs
         running[1:] = leaf_costs
-        np.add.accumulate(running, axis=0, out=running)
-        self.cumulative_leaf_costs = running[-1].copy()
+        if running.shape[1] > 1:
+            self.cumulative_leaf_costs = np.add.reduce(running, axis=0)
+        else:
+            self.cumulative_leaf_costs = np.add.accumulate(running, axis=0)[-1]
         self.rounds_elapsed += len(leaf_costs)
 
     def optimal_stationary_cost(self) -> float:

@@ -105,9 +105,12 @@ class BernoulliTreeEnv(CostEnvironment):
 
     def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((n, self.n_leaves))
-        # rows before the shift round use the pre-shift means
+        # rows before the shift round use the pre-shift means; each draw is
+        # replaced by its 0/1 cost in place
         pre = n if self.shift_round is None else min(max(self.shift_round - t, 0), n)
-        return np.vstack((u[:pre] < self._pre, u[pre:] < self._post)).astype(np.float64)
+        np.less(u[:pre], self._pre, out=u[:pre])
+        np.less(u[pre:], self._post, out=u[pre:])
+        return u
 
     def expected_costs(self, t: int) -> np.ndarray:
         return self._means_at(t)
@@ -145,7 +148,8 @@ class LowerBoundChainEnv(CostEnvironment):
         self.min_expected_cost = low
 
     def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return (rng.random((n, self.n_leaves)) < self.means).astype(np.float64)
+        u = rng.random((n, self.n_leaves))
+        return np.less(u, self.means, out=u)
 
     def expected_costs(self, t: int) -> np.ndarray:
         return self.means

@@ -433,6 +433,8 @@ def _read_policy(
         eta = r.get("eta", lambda v: v in ("classic", "shift_matched") or _positive(v),
                     "must be 'classic', 'shift_matched' or a number > 0", "classic")
         scale = r.get("eta_scale", _positive, "must be a number > 0", None)
+        if r.ok and eta == "classic" and gamma != "classic" and float(gamma) == 0.0:
+            r.fail("gamma", f"must be > 0 when eta is 'classic' (eta = gamma / K), got {gamma!r}")
         if scale is not None and eta not in ("shift_matched", None):
             r.fail("eta_scale", "applies only with eta: shift_matched")
         if eta == "shift_matched" and T is not None:

@@ -18,13 +18,15 @@ the list: the engine multiplies it into the receive probability at every
 hop.
 
 The three learners share one exponential-weights learner,
-``_SoftmaxPolicy``: scores ``theta``, rate ``eta``, the cached softmax, and
-its ``prob``/``distribution``/``select``. Each supplies only its uniform
-floor ``mix`` and its update: ``EpsilonExp3`` mixes in ``epsilon`` (and
-splits its draw into modes U and E) and ``Exp3Baseline`` mixes in
-``gamma``, both learning through ``update``; ``NormalizedEG`` mixes in
-nothing and learns through ``observe_all``. The fixed policies share
-``_FixedPolicy``, which ignores all feedback.
+``_SoftmaxPolicy``: scores ``theta``, rate ``eta``, their softmax, and its
+``prob``/``distribution``/``select``. The softmax is recomputed where
+``theta`` or ``eta`` changes and nowhere else, so every read finds it
+current. Each supplies only its uniform floor ``mix`` and its update:
+``EpsilonExp3`` mixes in ``epsilon`` (and splits its draw into modes U and
+E) and ``Exp3Baseline`` mixes in ``gamma``, both learning through
+``update``; ``NormalizedEG`` mixes in nothing and learns through
+``observe_all``. The fixed policies share ``_FixedPolicy``, which ignores
+all feedback.
 """
 
 from __future__ import annotations
@@ -162,13 +164,27 @@ class _SoftmaxPolicy(NodePolicy):
     probability ``mix / K + (1 - mix) * softmax(eta * theta)_j``.
 
     Subclasses pass in their mix and supply the feedback method that lowers
-    ``theta`` (and then clears ``_soft``).
+    the scores ``_theta``. ``_soft`` is softmax(eta * theta) at all times:
+    whatever changes the scores or ``eta`` recomputes it before returning.
     """
 
     def __init__(self, n_children: int, eta: float, mix: float) -> None:
         super().__init__(n_children)
-        self.theta = [0.0] * n_children
+        self._theta = [0.0] * n_children
         self.set_params(eta, mix)
+
+    @property
+    def theta(self) -> list[float]:
+        """A copy of the scores; assign a list to replace them."""
+        return list(self._theta)
+
+    @theta.setter
+    def theta(self, scores) -> None:
+        scores = list(scores)
+        if len(scores) != self.n_children:
+            raise PolicyError(f"need one score per child, got {len(scores)}")
+        self._theta = scores
+        self._soft = stable_softmax(scores, self.eta)
 
     def set_params(self, eta: float, mix: float) -> None:
         if eta <= 0.0:
@@ -177,12 +193,10 @@ class _SoftmaxPolicy(NodePolicy):
             raise PolicyError(f"mixing rate (epsilon or gamma) must lie in [0,1], got {mix}")
         self.eta = eta
         self.mix = mix
-        self._soft: list[float] | None = None
+        self._soft = stable_softmax(self._theta, eta)
 
     def exploit_probs(self) -> list[float]:
-        """softmax(eta * theta), cached until theta or eta changes."""
-        if self._soft is None:
-            self._soft = stable_softmax(self.theta, self.eta)
+        """softmax(eta * theta)."""
         return self._soft
 
     def distribution(self) -> list[float]:
@@ -190,7 +204,7 @@ class _SoftmaxPolicy(NodePolicy):
 
     def prob(self, child: int) -> float:
         mix = self.mix
-        return mix / self.n_children + (1.0 - mix) * self.exploit_probs()[child]
+        return mix / self.n_children + (1.0 - mix) * self._soft[child]
 
     def select(self, rng) -> ModeDraw:
         # inverse CDF of distribution(), its entries made on the fly
@@ -199,7 +213,7 @@ class _SoftmaxPolicy(NodePolicy):
         scale = 1.0 - mix
         u = rng.random()
         acc = 0.0
-        for j, p in enumerate(self.exploit_probs()):
+        for j, p in enumerate(self._soft):
             acc += floor + scale * p
             if u < acc:
                 return self._draws[j]
@@ -222,10 +236,10 @@ class NormalizedEG(_SoftmaxPolicy):
         for y in child_costs:
             if not 0.0 <= y <= 1.0:
                 raise PolicyError(f"cost must lie in [0,1], got {y}")
-        theta = self.theta
+        theta = self._theta
         for j, y in enumerate(child_costs):
             theta[j] -= y
-        self._soft = None
+        self._soft = stable_softmax(theta, self.eta)
 
 
 class EpsilonExp3(_SoftmaxPolicy):
@@ -257,7 +271,7 @@ class EpsilonExp3(_SoftmaxPolicy):
         # the softmax's CDF, inline: a shared scan would cost a call per visit
         u = rng.random()
         acc = 0.0
-        for j, p in enumerate(self.exploit_probs()):
+        for j, p in enumerate(self._soft):
             acc += p
             if u < acc:
                 return self._exploit_draws[j]
@@ -273,7 +287,7 @@ class EpsilonExp3(_SoftmaxPolicy):
         if draw.mode == "U":
             dec = cost * self.n_children / receive_prob
         elif draw.mode == "E":
-            p = self.exploit_probs()[draw.child]
+            p = self._soft[draw.child]
             if p < PROB_FLOOR:
                 raise NumericalError(
                     f"exploit-mode probability underflowed ({p!r}) for child {draw.child}"
@@ -281,8 +295,8 @@ class EpsilonExp3(_SoftmaxPolicy):
             dec = cost / (receive_prob * p)
         else:
             raise PolicyError(f"unknown mode {draw.mode!r}")
-        self.theta[draw.child] -= dec
-        self._soft = None
+        self._theta[draw.child] -= dec
+        self._soft = stable_softmax(self._theta, self.eta)
 
 
 def anytime_segment(t: int) -> tuple[int, bool]:
@@ -313,7 +327,7 @@ class AnytimeEpsilonExp3(EpsilonExp3):
         super().__init__(n_children, *default_params(1, *self._shape))
 
     def start_segment(self, m: int) -> None:
-        self.theta = [0.0] * self.n_children
+        self._theta = [0.0] * self.n_children
         self.set_params(*default_params(1 << m, *self._shape))
 
 
@@ -341,8 +355,8 @@ class Exp3Baseline(_SoftmaxPolicy):
             raise NumericalError(
                 f"choice probability underflowed ({p!r}) for child {draw.child}"
             )
-        self.theta[draw.child] -= cost / p
-        self._soft = None
+        self._theta[draw.child] -= cost / p
+        self._soft = stable_softmax(self._theta, self.eta)
 
 
 class _FixedPolicy(NodePolicy):

@@ -280,6 +280,44 @@ class TestRegretLedger:
         with pytest.raises(EngineError, match="NaN"):
             sim.run(5)
 
+    def test_record_adds_rounds_in_order(self):
+        # record must hold the floats of adding each round to the running
+        # totals in turn: the leaf totals come from numpy's reduce, whose row
+        # order is numpy's behaviour, so this pins it on every engine block shape
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def blocks(draw):
+            n_leaves = draw(st.integers(1, 40))
+            rows = st.integers(1, engine.BLOCK_ELEMENTS // n_leaves)
+            return n_leaves, draw(st.lists(rows, min_size=1, max_size=3))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(shape=blocks(), seed=st.integers(0, 2**32 - 1))
+        @hypothesis.example(shape=(1, [engine.BLOCK_ELEMENTS]), seed=0)
+        @hypothesis.example(shape=(2, [engine.BLOCK_ELEMENTS // 2]), seed=0)
+        def check(shape, seed):
+            n_leaves, rows = shape
+            rng = np.random.default_rng(seed)
+            led = RegretLedger(n_leaves)
+            led.cumulative_algorithm_cost = alg = float(rng.uniform(1.0, 1e3))
+            led.cumulative_leaf_costs = rng.uniform(1.0, 1e3, n_leaves)
+            leaves = led.cumulative_leaf_costs.tolist()
+            for n in rows:
+                block = rng.random((n, n_leaves))
+                realized = rng.random(n).tolist()
+                led.record(realized, block)
+                for cost, row in zip(realized, block.tolist()):
+                    alg += cost
+                    for k, leaf_cost in enumerate(row):
+                        leaves[k] += leaf_cost
+            assert led.cumulative_algorithm_cost == alg
+            assert led.cumulative_leaf_costs.tolist() == leaves
+            assert led.rounds_elapsed == sum(rows)
+
+        check()
+
 
 class TestDeterminism:
     def test_same_entropy_replays_bit_exact(self):

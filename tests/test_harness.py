@@ -192,6 +192,9 @@ def test_missing_required_key_reported(key):
         ({"scenario": "a\rb"}, "scenario"),
         ({"scenario": None}, "scenario"),
         ({"scenario": 5}, "scenario"),
+        # classic eta is gamma / K, so gamma 0 is the key at fault
+        ({"policies": [{"name": "exp3", "gamma": 0}]}, "policies[0].gamma"),
+        ({"policies": [{"name": "exp3", "gamma": 0, "eta": "classic"}]}, "policies[0].gamma"),
     ],
 )
 def test_errors_name_the_offending_key(patch, key, tmp_path):
@@ -203,6 +206,13 @@ def test_errors_name_the_offending_key(patch, key, tmp_path):
     errors = validate_config_dict(base_config(**patch))
     assert errors, f"expected an error for {patch}"
     assert any(msg.startswith(f"{key}:") or msg.startswith(f"{key}.") for msg in errors), errors
+
+
+def test_zero_gamma_with_explicit_eta_runs():
+    raw = base_config(policies=[{"name": "exp3", "gamma": 0, "eta": 0.5}])
+    assert validate_config_dict(raw) == []
+    rows = run_experiment(ExperimentConfig.from_dict(raw)).seed_rows
+    assert len(rows) == 4 and all(math.isfinite(row.regret) for row in rows)
 
 
 def test_means_length_checked_against_leaves():

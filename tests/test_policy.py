@@ -77,7 +77,6 @@ class TestNormalizedEG:
     def test_shift_invariance(self):
         pol = NormalizedEG(3, eta=0.3)
         pol.theta = [-5.0, -5.0, -5.0]
-        pol._soft = None
         assert_allclose(pol.distribution(), [1 / 3] * 3, atol=1e-15)
 
     def test_iterated_equals_closed_form(self):
@@ -103,7 +102,6 @@ class TestNormalizedEG:
             # a rejected round changes neither the scores nor the cache
             assert pol.theta == theta
             assert pol.distribution() == dist
-            pol._soft = None
             assert pol.distribution() == dist
 
     def test_rejects_bandit_feedback(self):
@@ -120,7 +118,6 @@ class TestEpsilonExp3Select:
     def test_mixture_marginal_frozen_example(self):
         pol = EpsilonExp3(2, eta=1.0, epsilon=0.2)
         pol.theta = [0.0, -10.0]
-        pol._soft = None
         want = 0.2 * 0.5 + 0.8 / (1.0 + math.exp(-10.0))
         assert_allclose(pol.distribution()[0], want, rtol=1e-12)
         assert_allclose(pol.distribution()[0], 0.89997, atol=1e-4)
@@ -128,7 +125,6 @@ class TestEpsilonExp3Select:
     def test_select_frequencies_match_marginals(self):
         pol = EpsilonExp3(3, eta=0.8, epsilon=0.3)
         pol.theta = [0.0, -1.0, -2.5]
-        pol._soft = None
         rng = np.random.default_rng(12)
         n = 200_000
         counts = np.zeros(3)
@@ -145,7 +141,6 @@ class TestEpsilonExp3Select:
     def test_epsilon_floor(self):
         pol = EpsilonExp3(4, eta=2.0, epsilon=0.1)
         pol.theta = [0.0, -50.0, -90.0, -200.0]
-        pol._soft = None
         x = pol.distribution()
         assert all(v >= 0.1 / 4 - 1e-15 for v in x)
         assert_allclose(sum(x), 1.0, atol=1e-12)
@@ -177,7 +172,6 @@ class TestEpsilonExp3Update:
         eta = 1.0
         pol = EpsilonExp3(2, eta=eta, epsilon=0.2)
         pol.theta = [0.0, -10.0]
-        pol._soft = None
         pol.update(ModeDraw("E", 1), cost=1.0, receive_prob=0.25)
         want = (math.exp(0.0) + math.exp(-10.0)) / (0.25 * math.exp(-10.0))
         assert_allclose(pol.theta[1], -10.0 - want, rtol=1e-12)
@@ -200,7 +194,6 @@ class TestEpsilonExp3Update:
     def test_underflow_guard_raises(self):
         pol = EpsilonExp3(2, eta=1.0, epsilon=0.0)
         pol.theta = [0.0, -800.0]
-        pol._soft = None
         with pytest.raises(NumericalError):
             pol.update(ModeDraw("E", 1), cost=1.0, receive_prob=1.0)
 
@@ -226,7 +219,6 @@ class TestEstimatorMoments:
             for mode, out in (("U", dec_u), ("E", dec_e)):
                 probe = EpsilonExp3(pol.n_children, pol.eta, pol.epsilon)
                 probe.theta = list(pol.theta)
-                probe._soft = None
                 probe.update(ModeDraw(mode, j), cost=y[j], receive_prob=v)
                 out[j] = pol.theta[j] - probe.theta[j]
         return dec_u, dec_e
@@ -242,7 +234,6 @@ class TestEstimatorMoments:
                 epsilon=float(rng.uniform(0.05, 0.9)),
             )
             pol.theta = list(-rng.uniform(0.0, 4.0, size=k))
-            pol._soft = None
             v = float(rng.uniform(0.1, 1.0))
             y = rng.uniform(0.05, 1.0, size=k)
             soft = np.array(pol.exploit_probs())
@@ -321,7 +312,6 @@ class TestExp3Baseline:
         rng = np.random.default_rng(77)
         pol = Exp3Baseline(3, eta=0.3, gamma=0.15)
         pol.theta = [-1.0, 0.0, -2.0]
-        pol._soft = None
         x = np.array(pol.distribution())
         y = np.array([0.9, 0.4, 0.6])
         n = 200_000
@@ -334,7 +324,6 @@ class TestExp3Baseline:
     def test_gamma_floor(self):
         pol = Exp3Baseline(2, eta=5.0, gamma=0.1)
         pol.theta = [0.0, -100.0]
-        pol._soft = None
         assert pol.distribution()[1] >= 0.05 - 1e-15
 
 
@@ -409,3 +398,89 @@ class TestSoftmaxNumerics:
             a = stable_softmax(theta, eta)
             b = stable_softmax([v - 123.456 for v in theta], eta)
             assert np.allclose(a, b, atol=1e-12)
+
+
+def _apply(pol, op, rng):
+    """One random change to a softmax learner's scores or parameters."""
+    k = pol.n_children
+    if op == "update" and not isinstance(pol, NormalizedEG):
+        mode = None if isinstance(pol, Exp3Baseline) else str(rng.choice(["U", "E"]))
+        cost = 0.0 if rng.random() < 0.2 else float(rng.random())
+        try:
+            pol.update(ModeDraw(mode, int(rng.integers(k))), cost, float(rng.uniform(0.01, 1.0)))
+        except NumericalError:
+            pass  # rejected before any score changed
+    elif op == "observe_all" and isinstance(pol, NormalizedEG):
+        pol.observe_all(rng.random(k).tolist())
+    elif op == "set_params":
+        mix = 0.0 if isinstance(pol, NormalizedEG) else float(rng.random())
+        pol.set_params(float(rng.uniform(0.01, 3.0)), mix)
+    elif op == "start_segment":
+        pol.start_segment(int(rng.integers(0, 20)))
+    elif op == "theta":
+        pol.theta = (-rng.uniform(0.0, 50.0, size=k)).tolist()
+
+
+_SOFTMAX_LEARNERS = {
+    "eps_exp3": lambda k: EpsilonExp3(k, eta=0.4, epsilon=0.2),
+    "anytime": lambda k: AnytimeEpsilonExp3(k, depth=2, max_fanout=k, children_all_leaves=False),
+    "exp3": lambda k: Exp3Baseline(k, eta=0.3, gamma=0.1),
+    "normalized_eg": lambda k: NormalizedEG(k, eta=0.3),
+}
+_CHANGES = ("update", "observe_all", "set_params", "start_segment", "theta")
+
+
+class TestSoftmaxIsCurrent:
+    """The softmax is recomputed where the scores or eta change, so a read
+    never finds it stale and never computes it."""
+
+    @pytest.mark.parametrize("name", sorted(_SOFTMAX_LEARNERS))
+    def test_softmax_matches_scores_after_any_changes(self, name):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            pol = _SOFTMAX_LEARNERS[name](int(rng.integers(2, 6)))
+            for op in rng.choice(_CHANGES, size=int(rng.integers(1, 25))):
+                _apply(pol, str(op), rng)
+                assert pol.exploit_probs() == stable_softmax(pol.theta, pol.eta)
+
+    @pytest.mark.parametrize("name", sorted(_SOFTMAX_LEARNERS))
+    def test_reads_compute_no_softmax(self, name, monkeypatch):
+        from treebandit import policy
+
+        calls = []
+
+        def counted(theta, eta):
+            calls.append(1)
+            return stable_softmax(theta, eta)
+
+        pol = _SOFTMAX_LEARNERS[name](3)
+        monkeypatch.setattr(policy, "stable_softmax", counted)
+        pol.theta = [0.0, -1.0, -2.5]
+        assert len(calls) == 1
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            pol.select(rng)
+            pol.prob(int(rng.integers(3)))
+            pol.distribution()
+            pol.exploit_probs()
+            if not isinstance(pol, NormalizedEG):
+                pol.update(ModeDraw(None if name == "exp3" else "E", 1), 0.0, 0.5)
+        assert len(calls) == 1
+        # a change recomputes it once
+        if isinstance(pol, NormalizedEG):
+            pol.observe_all([0.5, 0.25, 1.0])
+        else:
+            pol.update(ModeDraw(None if name == "exp3" else "U", 1), 0.5, 0.5)
+        pol.set_params(0.5, pol.mix)
+        assert len(calls) == 3
+
+    def test_assigned_scores_are_copied(self):
+        pol = EpsilonExp3(2, eta=1.0, epsilon=0.2)
+        scores = [0.0, -3.0]
+        pol.theta = scores
+        scores[1] = 0.0
+        pol.theta[0] = -9.0
+        assert pol.theta == [0.0, -3.0]
+        assert pol.exploit_probs() == stable_softmax([0.0, -3.0], 1.0)
+        with pytest.raises(PolicyError, match="one score per child"):
+            pol.theta = [0.0]

@@ -63,7 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "validate a config without running or writing"),
         ("trace", "run with windowed probability traces enabled"),
     ):
-        _add_common(subs.add_parser(name, help=text))
+        sub = subs.add_parser(name, help=text)
+        _add_common(sub)
+        if name != "validate":
+            sub.add_argument("--jobs", type=int, default=None,
+                             help="worker processes (default: every usable core, "
+                                  "and never more); outputs do not depend on it")
     subs.add_parser("scenarios", help="list bundled scenario configs")
     return parser
 
@@ -118,6 +123,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args, with_trace: bool) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(["--jobs: must be an integer >= 1"])
     raw = apply_overrides(resolve_raw_config(args), args)
     config = ExperimentConfig.from_dict(raw)
     if with_trace:
@@ -134,7 +141,7 @@ def _cmd_run(args, with_trace: bool) -> int:
         print(f"{config.scenario} {label} T={T}: mean_ta_regret={mean:.6g} "
               f"stddev={std:.6g} [{config.seeds} seeds, {secs:.1f}s]", file=sys.stderr)
 
-    results = run_experiment(config, with_trace=with_trace, progress=progress)
+    results = run_experiment(config, with_trace=with_trace, progress=progress, jobs=args.jobs)
     written = write_outputs(results, args.out)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)

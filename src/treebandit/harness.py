@@ -8,6 +8,11 @@ Also provides the log-log slope fit used to check regret growth rates.
 Determinism contract: a run is keyed by (master_seed, T, seed index); the
 environment stream and every node stream derive from that key, so re-running
 a config with the same master seed reproduces every file byte for byte.
+
+Replications are independent, so ``run_experiment`` spreads them over a pool
+of forked worker processes, one per usable core unless ``jobs`` says fewer.
+The workers return only result rows, which are read back in grid and seed
+order; the outputs are therefore the same bytes for every ``jobs``.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]) -> None:
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+    def __reduce__(self):  # pickle rebuilds from the list, not from the joined message
+        return type(self), (self.errors,)
 
 
 # --------------------------------------------------------------------------
@@ -639,39 +647,78 @@ def run_one(
     return row, (trace.rows if trace is not None else [])
 
 
+def worker_count(jobs: int | None = None) -> int:
+    """Processes ``run_experiment`` may use: ``jobs``, by default every usable
+    core, capped at the usable cores; 1 on a platform without ``fork``."""
+    if jobs is not None and not (_is_int(jobs) and jobs >= 1):
+        raise ConfigError([f"jobs: must be an integer >= 1, got {jobs!r}"])
+    if not hasattr(os, "fork"):
+        return 1
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    return usable if jobs is None else min(jobs, usable)
+
+
 def run_experiment(
     config: ExperimentConfig,
     with_trace: bool = False,
     progress=None,
+    jobs: int | None = None,
 ) -> ExperimentResults:
     """Run the full (policy x horizon x seed) grid and aggregate.
 
-    Seeds are independent replications; aggregation is an exact mean/stddev
-    over the seed list, so it is invariant to execution order.
+    A task is one (policy, T) block's range of seeds. With more than one
+    worker (``worker_count(jobs)``, capped at the task count) the tasks run
+    longest first on a pool of forked processes that inherit the topology,
+    envs and policy factories built here; otherwise they run in this
+    process. Either way the results are read back in grid and seed order,
+    so the aggregates, the trace sums and the progress calls do not depend
+    on ``jobs``. ``progress(label, T, mean, std, secs)`` gets a block's own
+    seconds: its set-up here plus its replications' wall time.
     """
+    workers = worker_count(jobs)
     topology = build_topology(config.topology)
     D = topology.max_fanout
     L = topology.depth
-    results = ExperimentResults()
+    blocks = []  # (policy entry, T, env, policy factory, set-up seconds) in grid order
     for entry in config.policies:
-        label = policy_label(entry)
         for T in sorted(config.horizons):
             t0 = time.perf_counter()
             env = build_env(config.env, topology, T)
             # read once per (policy, T); each seed's policies are built fresh
             make = _strict(_read_policy, entry, "policy", topology, T, env)
+            blocks.append((entry, T, env, make, time.perf_counter() - t0))
+    workers = min(workers, len(blocks) * config.seeds)
+    step = -(-config.seeds // workers)
+    ranges = [(lo, min(lo + step, config.seeds)) for lo in range(0, config.seeds, step)]
+    shared = (config, topology, blocks, with_trace)
+    results = ExperimentResults()
+    pool = _fork_pool(shared, workers) if workers > 1 else None
+    try:
+        futures = {}
+        if pool is not None:
+            tasks = [(b, lo, hi) for b in range(len(blocks)) for lo, hi in ranges]
+            # longest first, so that no long task is left to run alone at the end
+            for b, lo, hi in sorted(tasks, key=lambda t: blocks[t[0]][1] * (t[2] - t[1]),
+                                    reverse=True):
+                futures[b, lo] = pool.submit(_worker_task, b, lo, hi)
+        for b, (entry, T, _, _, secs) in enumerate(blocks):
+            label = policy_label(entry)
             ta_values = []
             trace_acc: np.ndarray | None = None
             trace_key_rows: list[tuple[int, int, int]] | None = None
-            for seed in range(config.seeds):
-                row, trace_rows = run_one(config, entry, T, seed, topology, env, make, with_trace)
-                results.seed_rows.append(row)
-                ta_values.append(row.regret / T if T > 0 else 0.0)
-                if trace_rows:
-                    if trace_acc is None:
-                        trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
-                        trace_acc = np.zeros(len(trace_rows))
-                    trace_acc += [r[3] for r in trace_rows]
+            for lo, hi in ranges:
+                runs, run_secs = (futures[b, lo].result() if pool is not None
+                                  else _run_seeds(shared, b, lo, hi))
+                secs += run_secs
+                for row, trace_rows in runs:
+                    results.seed_rows.append(row)
+                    ta_values.append(row.regret / T if T > 0 else 0.0)
+                    if trace_rows:
+                        if trace_acc is None:
+                            trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
+                            trace_acc = np.zeros(len(trace_rows))
+                        trace_acc += [r[3] for r in trace_rows]
             mean = float(np.mean(ta_values))
             std = float(np.std(ta_values, ddof=1)) if len(ta_values) > 1 else 0.0
             results.aggregates.append(
@@ -683,10 +730,47 @@ def run_experiment(
                     for (we, n, c), p in zip(trace_key_rows, trace_acc / config.seeds)
                 ]
             if progress is not None:
-                progress(label, T, mean, std, time.perf_counter() - t0)
+                progress(label, T, mean, std, secs)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     results.aggregates.sort(key=lambda r: (r.scenario, r.policy, r.T))
     results.seed_rows.sort(key=lambda r: (r.scenario, r.policy, r.T, r.seed))
     return results
+
+
+def _run_seeds(shared, b: int, lo: int, hi: int):
+    """Seeds ``lo..hi-1`` of block ``b``: their (SeedResult, trace rows) and wall seconds."""
+    config, topology, blocks, with_trace = shared
+    entry, T, env, make, _ = blocks[b]
+    t0 = time.perf_counter()
+    runs = [run_one(config, entry, T, seed, topology, env, make, with_trace)
+            for seed in range(lo, hi)]
+    return runs, time.perf_counter() - t0
+
+
+_worker_shared = None  # a pool worker's copy of run_experiment's ``shared``
+
+
+def _enter_worker(shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_task(b: int, lo: int, hi: int):
+    return _run_seeds(_worker_shared, b, lo, hi)
+
+
+def _fork_pool(shared, workers: int):
+    """A pool whose workers are forked from this process at the first submit,
+    before the pool starts its manager thread. ``fork`` hands them ``shared``
+    without pickling it, so envs and policy factories never cross a pipe;
+    only results do. The modules load here, not at package import."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_enter_worker, initargs=(shared,))
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from treebandit.harness import (
     fit_loglog_slope,
     load_scenario,
     run_experiment,
+    worker_count,
 )
 from treebandit.policy import (
     EpsilonExp3,
@@ -385,6 +386,32 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         ok,
         f"2 bundled configs rerun via the CLI: {compared} CSV files byte-identical",
     )
+
+
+@pytest.mark.skipif(
+    worker_count(2) < 2,
+    reason="--jobs 2 is capped to the usable cores and needs fork; "
+           "with one core it runs in-process like --jobs 1",
+)
+def test_cli_outputs_do_not_depend_on_jobs(tmp_path):
+    """`--jobs 1` and `--jobs 2` write the same bytes to every file and report
+    progress for the same (policy, T) blocks in the same order."""
+    for command, scenario, extra in (
+        ("run", "fig7-D2L2", ["--t", "1000,3162", "--seeds", "3"]),
+        ("trace", "fig8-transient", ["--t", "1000,3162", "--seeds", "2"]),
+    ):
+        outputs, progress = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{scenario}-jobs{jobs}"
+            proc = run_cli([command, scenario, *extra, "--jobs", jobs, "--out", str(out)],
+                           cwd=str(tmp_path))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+            # "<scenario> <label> T=<T>: mean_ta_regret=... stddev=... [<n> seeds, <secs>s]"
+            progress.append([line.rsplit(", ", 1)[0] for line in proc.stderr.splitlines()
+                             if line.startswith(f"{scenario} ")])
+        assert len(outputs[0]) >= 2 and outputs[1] == outputs[0]
+        assert len(progress[0]) == 4 and progress[1] == progress[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """CLI tests: argument handling, validation output, run/trace outputs,
 override flags, and exit codes."""
 
+import multiprocessing
 import os
 
 import pytest
 
+from treebandit import harness
 from treebandit.cli import main
+from treebandit.engine import EngineError
 from treebandit.policy import NumericalError
 
 TINY_CONFIG = """\
@@ -75,6 +78,14 @@ def test_unknown_bundled_name_exits_one(capsys):
 def test_bad_t_override_exits_one(tiny_config, capsys):
     assert main(["validate", tiny_config, "--t", "10,abc"]) == 1
     assert "--t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_one(command, jobs, tiny_config, tmp_path, capsys):
+    assert main([command, tiny_config, "--jobs", jobs, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: --jobs: must be an integer >= 1\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_policy_filter_must_match_a_label(tiny_config, capsys):
@@ -252,3 +263,24 @@ def test_numerical_error_exits_two(tiny_config, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_experiment", boom)
     assert main(["run", tiny_config, "--out", str(tmp_path / "out")]) == 2
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error_class, code, prefix", [
+    (NumericalError, 2, "numerical error: "),
+    (EngineError, 1, "error: "),
+])
+def test_a_worker_error_exits_as_at_jobs_one(
+        error_class, code, prefix, tiny_config, tmp_path, capsys, monkeypatch):
+    simulation = harness.Simulation
+
+    def failing(topology, policies, env, feedback, entropy):
+        if entropy[2] == 1:
+            raise error_class(f"seed 1 failed at T={entropy[1]}")
+        return simulation(topology, policies, env, feedback, entropy)
+
+    monkeypatch.setattr(harness, "Simulation", failing)
+    for jobs in ("1", "2"):
+        assert main(["run", tiny_config, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == code
+        assert capsys.readouterr().err == f"{prefix}seed 1 failed at T=10\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / jobs).exists()

@@ -2,17 +2,20 @@
 experiment aggregation, slope analysis, and CSV output."""
 
 import math
+import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
 import yaml
 
-from treebandit.engine import FeedbackModel
+from treebandit.engine import EngineError, FeedbackModel
 from treebandit.env import (
     BernoulliTreeEnv,
     CsvMatrixEnv,
     DeadlineLatencyEnv,
+    EnvError,
     LowerBoundChainEnv,
     bernoulli_tree_means,
 )
@@ -35,6 +38,7 @@ from treebandit.harness import (
     run_one,
     scenario_names,
     validate_config_dict,
+    worker_count,
     write_outputs,
 )
 from treebandit.policy import (
@@ -42,14 +46,22 @@ from treebandit.policy import (
     EpsilonExp3,
     Exp3Baseline,
     NormalizedEG,
+    NumericalError,
     OraclePolicy,
+    PolicyError,
     StationaryPolicy,
     UniformRandomPolicy,
     classic_exp3_gamma,
     default_params,
     eg_default_eta,
 )
-from treebandit.topology import build_chain_tree, build_uniform_tree
+from treebandit.topology import TopologyError, build_chain_tree, build_uniform_tree
+
+needs_two_cores = pytest.mark.skipif(
+    worker_count(2) < 2,
+    reason="a pool of 2 workers needs 2 usable cores and fork; "
+           "with fewer, jobs=2 runs in-process like jobs=1",
+)
 
 
 class CsvText(str):
@@ -709,6 +721,100 @@ def test_traces_only_collected_when_requested():
     ]
     for _, _, _, prob in res.traces[("uniform", 25)]:
         assert prob == 0.5
+
+
+# --------------------------------------------------------------------------
+# worker processes
+
+
+def test_worker_count_defaults_to_and_caps_at_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert worker_count() == 3
+    assert worker_count(None) == 3
+    assert worker_count(2) == 2
+    assert worker_count(10**6) == 3
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert worker_count() == 1
+    assert worker_count(2) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2"])
+def test_worker_count_rejects_non_positive_or_non_integer_jobs(jobs):
+    with pytest.raises(ConfigError) as err:
+        worker_count(jobs)
+    assert err.value.errors == [f"jobs: must be an integer >= 1, got {jobs!r}"]
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError(["seeds: bad", "horizons: bad"]),
+    EngineError("environment produced costs outside [0,1] or NaN at round 7"),
+    EnvError("costs.csv:3: expected 4 costs"),
+    PolicyError("eta must be > 0"),
+    NumericalError("receive probability underflow"),
+    TopologyError("fanout must be >= 2"),
+    HarnessError("need at least 3 points to fit a slope, got 2"),
+], ids=lambda e: type(e).__name__)
+def test_package_errors_survive_pickling(error):
+    # a worker's exception reaches the caller through pickle
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert getattr(back, "errors", None) == getattr(error, "errors", None)
+
+
+def fail_seed_one(monkeypatch, tmp_path, error_class):
+    """Make seed 1 of every (policy, T) raise ``error_class`` as its engine is
+    built; each raising process appends its pid to the returned file."""
+    simulation = harness.Simulation
+    pids = tmp_path / "pids"
+
+    def failing(topology, policies, env, feedback, entropy):
+        _, T, seed = entropy
+        if seed == 1:
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise error_class(f"seed {seed} failed at T={T}")
+        return simulation(topology, policies, env, feedback, entropy)
+
+    monkeypatch.setattr(harness, "Simulation", failing)
+    return pids
+
+
+def test_jobs_two_gives_the_results_and_progress_of_jobs_one():
+    cfg = ExperimentConfig.from_dict(base_config(
+        horizons=[40, 25], seeds=3, trace={"window": 10, "watched": [[0, 1], [1, 3]]},
+        policies=[{"name": "eps_exp3"}, {"name": "exp3", "label": "baseline"}],
+    ))
+    runs = []
+    for jobs in (1, 2):
+        calls = []
+        res = run_experiment(cfg, with_trace=True, jobs=jobs,
+                             progress=lambda *args: calls.append(args[:4]))
+        runs.append((res, calls))
+        assert multiprocessing.active_children() == []
+    (one, one_calls), (two, two_calls) = runs
+    assert two.seed_rows == one.seed_rows
+    assert two.aggregates == one.aggregates
+    assert two.traces == one.traces
+    assert two_calls == one_calls
+    assert [call[:2] for call in one_calls] == [
+        ("eps_exp3", 25), ("eps_exp3", 40), ("baseline", 25), ("baseline", 40)]
+
+
+@needs_two_cores
+@pytest.mark.parametrize("error_class", [NumericalError, EngineError])
+def test_a_worker_error_reaches_the_caller_as_at_jobs_one(error_class, monkeypatch, tmp_path):
+    pids = fail_seed_one(monkeypatch, tmp_path, error_class)
+    cfg = ExperimentConfig.from_dict(base_config(horizons=[10, 20, 30], seeds=4))
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(error_class) as err:
+            run_experiment(cfg, jobs=jobs)
+        raised.append(str(err.value))
+        assert multiprocessing.active_children() == []
+    assert raised == ["seed 1 failed at T=10"] * 2
+    assert str(os.getpid()) in pids.read_text().split()
+    assert set(pids.read_text().split()) - {str(os.getpid())}, "no worker process raised"
 
 
 # --------------------------------------------------------------------------

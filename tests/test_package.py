@@ -1,6 +1,6 @@
 """The package root exports exactly the names in ``__all__``, importing it
-does not import numpy.random, and the deadline expected costs an oracle
-reads need no scipy."""
+does not import numpy.random, multiprocessing or concurrent.futures, and the
+deadline expected costs an oracle reads need no scipy."""
 
 import os
 import subprocess
@@ -60,3 +60,13 @@ def test_package_import_does_not_import_numpy_random():
         "print('numpy.random' in sys.modules and not loaded)\n"
     )
     assert _run_fresh(code) == "False"
+
+
+def test_package_import_does_not_import_the_process_pool():
+    # run_experiment imports them at its first parallel run instead
+    code = (
+        "import sys\n"
+        "import treebandit, treebandit.cli\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+    )
+    assert _run_fresh(code) == "[]"

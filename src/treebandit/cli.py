@@ -6,7 +6,8 @@ Subcommands:
   validate   check a config and report every problem, writing nothing
   trace      run with windowed probability traces enabled
 
-Exit codes: 0 success, 1 config error, 2 runtime numerical error.
+Exit codes: 0 success, 1 config error, 2 runtime numerical error, 3 a worker
+process died before returning its results (rerun with --jobs 1).
 The default master seed is a fixed constant, so bare invocations are
 reproducible; pass --master-seed to change the replication stream.
 """
@@ -22,6 +23,7 @@ from treebandit.env import EnvError
 from treebandit.harness import (
     ConfigError,
     ExperimentConfig,
+    WorkerError,
     load_config_file,
     load_scenario,
     policy_label,
@@ -67,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         if name != "validate":
             sub.add_argument("--jobs", type=int, default=None,
-                             help="worker processes (default: every usable core, "
-                                  "and never more); outputs do not depend on it")
+                             help="worker processes, this one included (default: "
+                                  "every usable core, and never more); outputs do "
+                                  "not depend on it")
     subs.add_parser("scenarios", help="list bundled scenario configs")
     return parser
 
@@ -169,6 +172,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

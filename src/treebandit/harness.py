@@ -9,10 +9,11 @@ Determinism contract: a run is keyed by (master_seed, T, seed index); the
 environment stream and every node stream derive from that key, so re-running
 a config with the same master seed reproduces every file byte for byte.
 
-Replications are independent, so ``run_experiment`` spreads them over a pool
-of forked worker processes, one per usable core unless ``jobs`` says fewer.
-The workers return only result rows, which are read back in grid and seed
-order; the outputs are therefore the same bytes for every ``jobs``.
+Replications are independent, so ``run_experiment`` spreads them over
+worker processes, one per usable core unless ``jobs`` says fewer: the calling
+process is one of them, and the others are forked children that return only
+result rows. The rows are read back in grid and seed order; the outputs are
+therefore the same bytes for every ``jobs``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import os
+import pickle
 import time
 from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
@@ -77,6 +79,11 @@ ENV_KINDS = (
 
 class HarnessError(ValueError):
     """Raised for invalid analysis inputs (bad fit points)."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker process died (killed, or out of memory) before it
+    returned its results."""
 
 
 class ConfigError(ValueError):
@@ -669,12 +676,14 @@ def run_experiment(
 
     A task is one (policy, T) block's range of seeds. With more than one
     worker (``worker_count(jobs)``, capped at the task count) the tasks run
-    longest first on a pool of forked processes that inherit the topology,
-    envs and policy factories built here; otherwise they run in this
-    process. Either way the results are read back in grid and seed order,
-    so the aggregates, the trace sums and the progress calls do not depend
-    on ``jobs``. ``progress(label, T, mean, std, secs)`` gets a block's own
-    seconds: its set-up here plus its replications' wall time.
+    longest first, in this process and in forked children that inherit the
+    topology, envs and policy factories built here (``_run_forked``);
+    otherwise they run here one by one. Either way the results are read in
+    grid and seed order, so the aggregates, the trace sums, the progress
+    calls and the first error raised do not depend on ``jobs``.
+    ``progress(label, T, mean, std, secs)`` gets a block's own seconds: its
+    set-up here plus its replications' wall time. A child that dies before
+    it returns its results raises ``WorkerError``.
     """
     workers = worker_count(jobs)
     topology = build_topology(config.topology)
@@ -692,85 +701,149 @@ def run_experiment(
     step = -(-config.seeds // workers)
     ranges = [(lo, min(lo + step, config.seeds)) for lo in range(0, config.seeds, step)]
     shared = (config, topology, blocks, with_trace)
+    tasks = [(b, lo, hi) for b in range(len(blocks)) for lo, hi in ranges]
+    outcomes, dead = (_run_forked(shared, tasks, min(workers, len(tasks))) if workers > 1
+                      else (None, ""))
     results = ExperimentResults()
-    pool = _fork_pool(shared, workers) if workers > 1 else None
-    try:
-        futures = {}
-        if pool is not None:
-            tasks = [(b, lo, hi) for b in range(len(blocks)) for lo, hi in ranges]
-            # longest first, so that no long task is left to run alone at the end
-            for b, lo, hi in sorted(tasks, key=lambda t: blocks[t[0]][1] * (t[2] - t[1]),
-                                    reverse=True):
-                futures[b, lo] = pool.submit(_worker_task, b, lo, hi)
-        for b, (entry, T, _, _, secs) in enumerate(blocks):
-            label = policy_label(entry)
-            ta_values = []
-            trace_acc: np.ndarray | None = None
-            trace_key_rows: list[tuple[int, int, int]] | None = None
-            for lo, hi in ranges:
-                runs, run_secs = (futures[b, lo].result() if pool is not None
-                                  else _run_seeds(shared, b, lo, hi))
-                secs += run_secs
-                for row, trace_rows in runs:
-                    results.seed_rows.append(row)
-                    ta_values.append(row.regret / T if T > 0 else 0.0)
-                    if trace_rows:
-                        if trace_acc is None:
-                            trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
-                            trace_acc = np.zeros(len(trace_rows))
-                        trace_acc += [r[3] for r in trace_rows]
-            mean = float(np.mean(ta_values))
-            std = float(np.std(ta_values, ddof=1)) if len(ta_values) > 1 else 0.0
-            results.aggregates.append(
-                AggregateResult(config.scenario, label, D, L, T, config.seeds, mean, std)
-            )
-            if trace_acc is not None and trace_key_rows is not None:
-                results.traces[(label, T)] = [
-                    (we, n, c, float(p))
-                    for (we, n, c), p in zip(trace_key_rows, trace_acc / config.seeds)
-                ]
-            if progress is not None:
-                progress(label, T, mean, std, secs)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for b, (entry, T, _, _, secs) in enumerate(blocks):
+        label = policy_label(entry)
+        ta_values = []
+        trace_acc: np.ndarray | None = None
+        trace_key_rows: list[tuple[int, int, int]] | None = None
+        for lo, hi in ranges:
+            outcome = _run_seeds(shared, b, lo, hi) if outcomes is None else outcomes.get((b, lo))
+            if outcome is None:  # only a dead child leaves a task without an outcome
+                raise WorkerError(f"{dead} before returning the results of {label} T={T}; "
+                                  "rerun with --jobs 1 to run every replication in one process")
+            if isinstance(outcome, Exception):
+                raise outcome
+            runs, run_secs = outcome
+            secs += run_secs
+            for row, trace_rows in runs:
+                results.seed_rows.append(row)
+                ta_values.append(row.regret / T if T > 0 else 0.0)
+                if trace_rows:
+                    if trace_acc is None:
+                        trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
+                        trace_acc = np.zeros(len(trace_rows))
+                    trace_acc += [r[3] for r in trace_rows]
+        mean = float(np.mean(ta_values))
+        std = float(np.std(ta_values, ddof=1)) if len(ta_values) > 1 else 0.0
+        results.aggregates.append(
+            AggregateResult(config.scenario, label, D, L, T, config.seeds, mean, std)
+        )
+        if trace_acc is not None and trace_key_rows is not None:
+            results.traces[(label, T)] = [
+                (we, n, c, float(p))
+                for (we, n, c), p in zip(trace_key_rows, trace_acc / config.seeds)
+            ]
+        if progress is not None:
+            progress(label, T, mean, std, secs)
     results.aggregates.sort(key=lambda r: (r.scenario, r.policy, r.T))
     results.seed_rows.sort(key=lambda r: (r.scenario, r.policy, r.T, r.seed))
     return results
 
 
 def _run_seeds(shared, b: int, lo: int, hi: int):
-    """Seeds ``lo..hi-1`` of block ``b``: their (SeedResult, trace rows) and wall seconds."""
+    """Seeds ``lo..hi-1`` of block ``b``: their (SeedResult, trace rows) and wall
+    seconds, or the exception that stopped them, which ``run_experiment`` raises
+    when it reaches this task in grid order."""
     config, topology, blocks, with_trace = shared
     entry, T, env, make, _ = blocks[b]
     t0 = time.perf_counter()
-    runs = [run_one(config, entry, T, seed, topology, env, make, with_trace)
-            for seed in range(lo, hi)]
+    try:
+        runs = [run_one(config, entry, T, seed, topology, env, make, with_trace)
+                for seed in range(lo, hi)]
+    except Exception as exc:
+        return exc
     return runs, time.perf_counter() - t0
 
 
-_worker_shared = None  # a pool worker's copy of run_experiment's ``shared``
+def _take_tasks(shared, tasks, queue, outcomes: dict) -> dict:
+    """Run the tasks whose indices this process reads from ``queue``, until it
+    is empty, into ``outcomes``."""
+    while index := queue.read(4):
+        b, lo, hi = tasks[int.from_bytes(index, "little")]
+        outcomes[b, lo] = _run_seeds(shared, b, lo, hi)
+    return outcomes
 
 
-def _enter_worker(shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
+def _run_forked(shared, tasks, workers: int):
+    """Run ``tasks`` longest first in this process and ``workers - 1`` forked
+    children; returns ``{(b, lo): outcome}`` and a description of the children
+    that died, whose tasks have no outcome.
 
+    ``fork`` hands the children ``shared`` without pickling it, so envs and
+    policy factories never cross a pipe; each child sends back one pickled
+    dict of outcomes. Every process reads task indices, 4 bytes each, from one
+    queue pipe until it is empty. No child outlives the call: on any error,
+    KeyboardInterrupt included, the children still running are killed and
+    reaped.
+    """
+    import signal
 
-def _worker_task(b: int, lo: int, hi: int):
-    return _run_seeds(_worker_shared, b, lo, hi)
-
-
-def _fork_pool(shared, workers: int):
-    """A pool whose workers are forked from this process at the first submit,
-    before the pool starts its manager thread. ``fork`` hands them ``shared``
-    without pickling it, so envs and policy factories never cross a pipe;
-    only results do. The modules load here, not at package import."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_enter_worker, initargs=(shared,))
+    blocks = shared[2]
+    # longest first, so that no long task is left to run alone at the end
+    order = sorted(range(len(tasks)), reverse=True,
+                   key=lambda i: blocks[tasks[i][0]][1] * (tasks[i][2] - tasks[i][1]))
+    queue_r, queue_w = os.pipe()
+    queue, feed = open(queue_r, "rb", buffering=0), open(queue_w, "wb", buffering=0)
+    children = {}  # pid -> the read end of its result pipe, until it is reaped
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for pipe in (feed, *children.values()):
+                        pipe.close()
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        pickle.dump(_take_tasks(shared, tasks, queue, {}), out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = open(r, "rb", buffering=0)
+        # The queue is written after the forks and without blocking, so it
+        # never waits on a reader: while the pipe is full (64 KiB, 16,384
+        # indices on Linux) this process runs the shortest unqueued task itself.
+        # Each write is at most 512 bytes, POSIX's least PIPE_BUF, so it lands
+        # whole or not at all and every read gets one whole index.
+        os.set_blocking(queue_w, False)
+        packed = b"".join(i.to_bytes(4, "little") for i in order)
+        outcomes = {}
+        head, tail = 0, len(order)
+        while head < tail:
+            end = min(head + 128, tail)
+            if feed.write(packed[4 * head:4 * end]) is not None:
+                head = end
+            else:
+                tail -= 1
+                b, lo, hi = tasks[order[tail]]
+                outcomes[b, lo] = _run_seeds(shared, b, lo, hi)
+        feed.close()
+        outcomes = _take_tasks(shared, tasks, queue, outcomes)
+        dead = []
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+            del children[pid]
+            if code == 0:  # a child exits 0 only after it has sent all its outcomes
+                outcomes.update(pickle.loads(data))
+            else:
+                dead.append(f"worker process {pid} " + (
+                    f"exited with code {code}" if code > 0 else f"was killed by signal {-code}"))
+        return outcomes, " and ".join(dead)
+    finally:
+        for pid, pipe in children.items():  # still running only if this call failed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        queue.close()
+        feed.close()
 
 
 # --------------------------------------------------------------------------

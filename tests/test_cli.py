@@ -1,14 +1,15 @@
 """CLI tests: argument handling, validation output, run/trace outputs,
 override flags, and exit codes."""
 
-import multiprocessing
 import os
+import time
 
 import pytest
 
 from treebandit import harness
 from treebandit.cli import main
 from treebandit.engine import EngineError
+from treebandit.harness import worker_count
 from treebandit.policy import NumericalError
 
 TINY_CONFIG = """\
@@ -44,6 +45,12 @@ def tiny_config(tmp_path):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def assert_no_child_left():
+    # raw forks are invisible to multiprocessing.active_children()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --------------------------------------------------------------------------
@@ -282,5 +289,36 @@ def test_a_worker_error_exits_as_at_jobs_one(
     for jobs in ("1", "2"):
         assert main(["run", tiny_config, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == code
         assert capsys.readouterr().err == f"{prefix}seed 1 failed at T=10\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert not (tmp_path / jobs).exists()
+
+
+@pytest.mark.skipif(worker_count(2) < 2, reason="--jobs 2 forks a child only with 2 usable "
+                                                "cores and fork")
+def test_a_dead_worker_is_one_error_line_and_exits_three(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    simulation = harness.Simulation
+    dead = tmp_path / "dead"
+    test_pid = os.getpid()
+
+    def dying_in_a_child(*args, **kwargs):
+        if os.getpid() != test_pid:
+            dead.write_text(str(os.getpid()))
+            os._exit(3)
+        # this process's first task waits, so that the child takes the second
+        deadline = time.monotonic() + 10
+        while not dead.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return simulation(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "Simulation", dying_in_a_child)
+    out = tmp_path / "out"
+    assert main(["run", tiny_config, "--jobs", "2", "--out", str(out)]) == 3
+    # tasks longest first: this process takes uniform T=20's seed 0, the child seed 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"error: worker process {dead.read_text()} exited with code 3 before "
+                       "returning the results of uniform T=20; rerun with --jobs 1 to run "
+                       "every replication in one process")
+    assert [line for line in err if "error" in line] == err[-1:]
+    assert not out.exists()
+    assert_no_child_left()

@@ -2,9 +2,10 @@
 experiment aggregation, slope analysis, and CSV output."""
 
 import math
-import multiprocessing
 import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -762,22 +763,19 @@ def test_package_errors_survive_pickling(error):
     assert getattr(back, "errors", None) == getattr(error, "errors", None)
 
 
-def fail_seed_one(monkeypatch, tmp_path, error_class):
-    """Make seed 1 of every (policy, T) raise ``error_class`` as its engine is
-    built; each raising process appends its pid to the returned file."""
-    simulation = harness.Simulation
-    pids = tmp_path / "pids"
+def assert_no_child_left():
+    # raw forks are invisible to multiprocessing.active_children()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def failing(topology, policies, env, feedback, entropy):
-        _, T, seed = entropy
-        if seed == 1:
-            with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            raise error_class(f"seed {seed} failed at T={T}")
-        return simulation(topology, policies, env, feedback, entropy)
 
-    monkeypatch.setattr(harness, "Simulation", failing)
-    return pids
+def wait_for_another_pid(path, seconds=10.0):
+    """Wait until a process other than this one has written its pid to ``path``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if path.exists() and set(path.read_text().split()) - {str(os.getpid())}:
+            return
+        time.sleep(0.005)
 
 
 def test_jobs_two_gives_the_results_and_progress_of_jobs_one():
@@ -786,17 +784,19 @@ def test_jobs_two_gives_the_results_and_progress_of_jobs_one():
         policies=[{"name": "eps_exp3"}, {"name": "exp3", "label": "baseline"}],
     ))
     runs = []
-    for jobs in (1, 2):
+    # every jobs from 1 up to the usable cores, at most 4: never more processes than cores
+    for jobs in range(1, max(2, min(worker_count(), 4)) + 1):
         calls = []
         res = run_experiment(cfg, with_trace=True, jobs=jobs,
                              progress=lambda *args: calls.append(args[:4]))
         runs.append((res, calls))
-        assert multiprocessing.active_children() == []
-    (one, one_calls), (two, two_calls) = runs
-    assert two.seed_rows == one.seed_rows
-    assert two.aggregates == one.aggregates
-    assert two.traces == one.traces
-    assert two_calls == one_calls
+        assert_no_child_left()
+    (one, one_calls), *others = runs
+    for res, calls in others:
+        assert res.seed_rows == one.seed_rows
+        assert res.aggregates == one.aggregates
+        assert res.traces == one.traces
+        assert calls == one_calls
     assert [call[:2] for call in one_calls] == [
         ("eps_exp3", 25), ("eps_exp3", 40), ("baseline", 25), ("baseline", 40)]
 
@@ -804,17 +804,82 @@ def test_jobs_two_gives_the_results_and_progress_of_jobs_one():
 @needs_two_cores
 @pytest.mark.parametrize("error_class", [NumericalError, EngineError])
 def test_a_worker_error_reaches_the_caller_as_at_jobs_one(error_class, monkeypatch, tmp_path):
-    pids = fail_seed_one(monkeypatch, tmp_path, error_class)
+    simulation = harness.Simulation
+    pids = tmp_path / "pids"
+    jobs = 1
+
+    def failing(topology, policies, env, feedback, entropy):
+        # seeds 1 and 3 raise, so every task of 4 seeds in 2 ranges fails;
+        # at jobs=2 this process raises only after a child has
+        _, T, seed = entropy
+        if seed in (1, 3):
+            if jobs > 1:
+                wait_for_another_pid(pids)
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise error_class(f"seed {seed} failed at T={T}")
+        return simulation(topology, policies, env, feedback, entropy)
+
+    monkeypatch.setattr(harness, "Simulation", failing)
     cfg = ExperimentConfig.from_dict(base_config(horizons=[10, 20, 30], seeds=4))
     raised = []
     for jobs in (1, 2):
         with pytest.raises(error_class) as err:
             run_experiment(cfg, jobs=jobs)
         raised.append(str(err.value))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+    # the first failure in grid order, whichever process met it
     assert raised == ["seed 1 failed at T=10"] * 2
     assert str(os.getpid()) in pids.read_text().split()
     assert set(pids.read_text().split()) - {str(os.getpid())}, "no worker process raised"
+
+
+@needs_two_cores
+def test_an_interrupt_in_this_process_kills_the_working_children(monkeypatch, tmp_path):
+    pids = tmp_path / "pids"
+    test_pid = os.getpid()
+
+    def working_or_interrupted(*args, **kwargs):
+        if os.getpid() != test_pid:
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(60)  # a child still working when Ctrl-C reaches this process
+        wait_for_another_pid(pids)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "Simulation", working_or_interrupted)
+    cfg = ExperimentConfig.from_dict(base_config(horizons=[10, 20], seeds=2))
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg, jobs=2)
+    assert time.monotonic() - t0 < 30, "the children were waited for, not killed"
+    assert set(pids.read_text().split()) - {str(test_pid)}, "no child was working"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_queue_larger_than_a_pipe_runs_every_task(workers, monkeypatch):
+    if workers > worker_count():
+        pytest.skip("one process per usable core at most")
+    # 20,000 indices are 80,000 bytes, more than a 64 KiB pipe holds; with no
+    # child to read them this process must run the overflow itself
+    tasks = [(b, 0, 1) for b in range(20_000)]
+    blocks = [(None, 1 + b % 7, None, None, 0.0) for b in range(len(tasks))]
+    monkeypatch.setattr(harness, "_run_seeds", lambda shared, b, lo, hi: ([], float(b)))
+
+    def hung(signum, frame):
+        raise TimeoutError("the task queue blocked")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        outcomes, dead = harness._run_forked((None, None, blocks, False), tasks, workers)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert dead == ""
+    assert outcomes == {(b, 0): ([], float(b)) for b in range(len(tasks))}
+    assert_no_child_left()
 
 
 # --------------------------------------------------------------------------

@@ -63,10 +63,20 @@ def test_package_import_does_not_import_numpy_random():
 
 
 def test_package_import_does_not_import_the_process_pool():
-    # run_experiment imports them at its first parallel run instead
+    # run_experiment forks its workers with os.fork and feeds them through
+    # plain pipes, so not even a parallel run imports them
     code = (
         "import sys\n"
         "import treebandit, treebandit.cli\n"
+        "from treebandit.harness import ExperimentConfig, run_experiment\n"
+        "config = ExperimentConfig.from_dict({\n"
+        "    'scenario': 'tiny',\n"
+        "    'topology': {'kind': 'uniform', 'fanout': 2, 'depth': 2},\n"
+        "    'env': {'kind': 'bernoulli_tree', 'p_min': 0.2},\n"
+        "    'horizons': [10, 20], 'seeds': 2,\n"
+        "    'policies': [{'name': 'uniform'}],\n"
+        "})\n"
+        "assert len(run_experiment(config, jobs=2).seed_rows) == 4\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
     )
     assert _run_fresh(code) == "[]"

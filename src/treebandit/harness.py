@@ -9,8 +9,8 @@ Determinism contract: a run is keyed by (master_seed, T, seed index); the
 environment stream and every node stream derive from that key, so re-running
 a config with the same master seed reproduces every file byte for byte.
 
-Replications are independent, so ``run_experiment`` spreads them over
-worker processes, one per usable core unless ``jobs`` says fewer: the calling
+Replications are independent, so ``run_experiment`` deals them over worker
+processes, one per usable core unless ``jobs`` says fewer: the calling
 process is one of them, and the others are forked children that return only
 result rows. The rows are read back in grid and seed order; the outputs are
 therefore the same bytes for every ``jobs``.
@@ -674,16 +674,16 @@ def run_experiment(
 ) -> ExperimentResults:
     """Run the full (policy x horizon x seed) grid and aggregate.
 
-    A task is one (policy, T) block's range of seeds. With more than one
-    worker (``worker_count(jobs)``, capped at the task count) the tasks run
-    longest first, in this process and in forked children that inherit the
-    topology, envs and policy factories built here (``_run_forked``);
-    otherwise they run here one by one. Either way the results are read in
-    grid and seed order, so the aggregates, the trace sums, the progress
-    calls and the first error raised do not depend on ``jobs``.
-    ``progress(label, T, mean, std, secs)`` gets a block's own seconds: its
-    set-up here plus its replications' wall time. A child that dies before
-    it returns its results raises ``WorkerError``.
+    A task is one replication, a (policy, T) block's seed. With more than one
+    worker (``worker_count(jobs)``, capped at the task count) the tasks are
+    dealt longest first into one share per process before any fork, and run
+    in this process and in forked children that inherit the topology, envs
+    and policy factories built here (``_run_forked``); otherwise they run here
+    one by one. Either way the results are read in grid and seed order, so the
+    aggregates, the trace sums, the progress calls and the first error raised
+    do not depend on ``jobs``. ``progress(label, T, mean, std, secs)`` gets a
+    block's own seconds: its set-up here plus its replications' wall time. A
+    child that dies before it returns its results raises ``WorkerError``.
     """
     workers = worker_count(jobs)
     topology = build_topology(config.topology)
@@ -697,36 +697,44 @@ def run_experiment(
             # read once per (policy, T); each seed's policies are built fresh
             make = _strict(_read_policy, entry, "policy", topology, T, env)
             blocks.append((entry, T, env, make, time.perf_counter() - t0))
-    workers = min(workers, len(blocks) * config.seeds)
-    step = -(-config.seeds // workers)
-    ranges = [(lo, min(lo + step, config.seeds)) for lo in range(0, config.seeds, step)]
-    shared = (config, topology, blocks, with_trace)
-    tasks = [(b, lo, hi) for b in range(len(blocks)) for lo, hi in ranges]
-    outcomes, dead = (_run_forked(shared, tasks, min(workers, len(tasks))) if workers > 1
-                      else (None, ""))
+
+    def run(task):
+        """One replication's (SeedResult, trace rows) and wall seconds, or the
+        exception that stopped it, which the fold below raises in grid order."""
+        entry, T, env, make, _ = blocks[task[0]]
+        t0 = time.perf_counter()
+        try:
+            outcome = run_one(config, entry, T, task[1], topology, env, make, with_trace)
+        except Exception as exc:
+            return exc
+        return outcome, time.perf_counter() - t0
+
+    tasks = [(b, seed) for b in range(len(blocks)) for seed in range(config.seeds)]
+    workers = min(workers, len(tasks))
+    outcomes, dead = (_run_forked(run, _deal(tasks, workers, lambda task: blocks[task[0]][1]))
+                      if workers > 1 else (None, ""))
     results = ExperimentResults()
     for b, (entry, T, _, _, secs) in enumerate(blocks):
         label = policy_label(entry)
         ta_values = []
         trace_acc: np.ndarray | None = None
         trace_key_rows: list[tuple[int, int, int]] | None = None
-        for lo, hi in ranges:
-            outcome = _run_seeds(shared, b, lo, hi) if outcomes is None else outcomes.get((b, lo))
+        for seed in range(config.seeds):
+            outcome = run((b, seed)) if outcomes is None else outcomes.get((b, seed))
             if outcome is None:  # only a dead child leaves a task without an outcome
                 raise WorkerError(f"{dead} before returning the results of {label} T={T}; "
                                   "rerun with --jobs 1 to run every replication in one process")
             if isinstance(outcome, Exception):
                 raise outcome
-            runs, run_secs = outcome
+            (row, trace_rows), run_secs = outcome
             secs += run_secs
-            for row, trace_rows in runs:
-                results.seed_rows.append(row)
-                ta_values.append(row.regret / T if T > 0 else 0.0)
-                if trace_rows:
-                    if trace_acc is None:
-                        trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
-                        trace_acc = np.zeros(len(trace_rows))
-                    trace_acc += [r[3] for r in trace_rows]
+            results.seed_rows.append(row)
+            ta_values.append(row.regret / T if T > 0 else 0.0)
+            if trace_rows:
+                if trace_acc is None:
+                    trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
+                    trace_acc = np.zeros(len(trace_rows))
+                trace_acc += [r[3] for r in trace_rows]
         mean = float(np.mean(ta_values))
         std = float(np.std(ta_values, ddof=1)) if len(ta_values) > 1 else 0.0
         results.aggregates.append(
@@ -744,87 +752,47 @@ def run_experiment(
     return results
 
 
-def _run_seeds(shared, b: int, lo: int, hi: int):
-    """Seeds ``lo..hi-1`` of block ``b``: their (SeedResult, trace rows) and wall
-    seconds, or the exception that stopped them, which ``run_experiment`` raises
-    when it reaches this task in grid order."""
-    config, topology, blocks, with_trace = shared
-    entry, T, env, make, _ = blocks[b]
-    t0 = time.perf_counter()
-    try:
-        runs = [run_one(config, entry, T, seed, topology, env, make, with_trace)
-                for seed in range(lo, hi)]
-    except Exception as exc:
-        return exc
-    return runs, time.perf_counter() - t0
+def _deal(tasks: list, workers: int, length) -> list[list]:
+    """Split ``tasks`` into ``workers`` shares: sorted longest first by
+    ``length(task)`` and dealt back and forth (0, 1, .., W-1, W-1, .., 0, 0, ..),
+    so that the shares' total lengths differ by at most the longest task."""
+    order = sorted(tasks, key=length, reverse=True)  # stable: ties stay in grid order
+    turn = 2 * workers
+    return [order[k::turn] + order[turn - 1 - k::turn] for k in range(workers)]
 
 
-def _take_tasks(shared, tasks, queue, outcomes: dict) -> dict:
-    """Run the tasks whose indices this process reads from ``queue``, until it
-    is empty, into ``outcomes``."""
-    while index := queue.read(4):
-        b, lo, hi = tasks[int.from_bytes(index, "little")]
-        outcomes[b, lo] = _run_seeds(shared, b, lo, hi)
-    return outcomes
-
-
-def _run_forked(shared, tasks, workers: int):
-    """Run ``tasks`` longest first in this process and ``workers - 1`` forked
-    children; returns ``{(b, lo): outcome}`` and a description of the children
+def _run_forked(run, shares: list[list]):
+    """Run ``shares[0]`` in this process and each other share in a forked
+    child; returns ``{task: run(task)}`` and a description of the children
     that died, whose tasks have no outcome.
 
-    ``fork`` hands the children ``shared`` without pickling it, so envs and
-    policy factories never cross a pipe; each child sends back one pickled
-    dict of outcomes. Every process reads task indices, 4 bytes each, from one
-    queue pipe until it is empty. No child outlives the call: on any error,
+    ``fork`` hands the children ``run`` and what it reads without pickling, so
+    envs and policy factories never cross a pipe; each child sends back one
+    pickled dict of outcomes. No child outlives the call: on any error,
     KeyboardInterrupt included, the children still running are killed and
     reaped.
     """
     import signal
 
-    blocks = shared[2]
-    # longest first, so that no long task is left to run alone at the end
-    order = sorted(range(len(tasks)), reverse=True,
-                   key=lambda i: blocks[tasks[i][0]][1] * (tasks[i][2] - tasks[i][1]))
-    queue_r, queue_w = os.pipe()
-    queue, feed = open(queue_r, "rb", buffering=0), open(queue_w, "wb", buffering=0)
     children = {}  # pid -> the read end of its result pipe, until it is reaped
     try:
-        for _ in range(workers - 1):
+        for share in shares[1:]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    for pipe in (feed, *children.values()):
+                    for pipe in children.values():
                         pipe.close()
                     os.close(r)
                     with open(w, "wb") as out:
-                        pickle.dump(_take_tasks(shared, tasks, queue, {}), out)
+                        pickle.dump({task: run(task) for task in share}, out)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
             children[pid] = open(r, "rb", buffering=0)
-        # The queue is written after the forks and without blocking, so it
-        # never waits on a reader: while the pipe is full (64 KiB, 16,384
-        # indices on Linux) this process runs the shortest unqueued task itself.
-        # Each write is at most 512 bytes, POSIX's least PIPE_BUF, so it lands
-        # whole or not at all and every read gets one whole index.
-        os.set_blocking(queue_w, False)
-        packed = b"".join(i.to_bytes(4, "little") for i in order)
-        outcomes = {}
-        head, tail = 0, len(order)
-        while head < tail:
-            end = min(head + 128, tail)
-            if feed.write(packed[4 * head:4 * end]) is not None:
-                head = end
-            else:
-                tail -= 1
-                b, lo, hi = tasks[order[tail]]
-                outcomes[b, lo] = _run_seeds(shared, b, lo, hi)
-        feed.close()
-        outcomes = _take_tasks(shared, tasks, queue, outcomes)
+        outcomes = {task: run(task) for task in shares[0]}
         dead = []
         for pid, pipe in list(children.items()):
             data = pipe.read()
@@ -842,8 +810,6 @@ def _run_forked(shared, tasks, workers: int):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-        queue.close()
-        feed.close()
 
 
 # --------------------------------------------------------------------------

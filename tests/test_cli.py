@@ -2,7 +2,6 @@
 override flags, and exit codes."""
 
 import os
-import time
 
 import pytest
 
@@ -305,19 +304,16 @@ def test_a_dead_worker_is_one_error_line_and_exits_three(
         if os.getpid() != test_pid:
             dead.write_text(str(os.getpid()))
             os._exit(3)
-        # this process's first task waits, so that the child takes the second
-        deadline = time.monotonic() + 10
-        while not dead.exists() and time.monotonic() < deadline:
-            time.sleep(0.005)
         return simulation(*args, **kwargs)
 
     monkeypatch.setattr(harness, "Simulation", dying_in_a_child)
     out = tmp_path / "out"
     assert main(["run", tiny_config, "--jobs", "2", "--out", str(out)]) == 3
-    # tasks longest first: this process takes uniform T=20's seed 0, the child seed 1
+    # dealt longest first, the child's share holds seed 1 of uniform T=20 and
+    # T=10, so uniform T=10 is the first block in grid order left without results
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == (f"error: worker process {dead.read_text()} exited with code 3 before "
-                       "returning the results of uniform T=20; rerun with --jobs 1 to run "
+                       "returning the results of uniform T=10; rerun with --jobs 1 to run "
                        "every replication in one process")
     assert [line for line in err if "error" in line] == err[-1:]
     assert not out.exists()

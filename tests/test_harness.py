@@ -4,7 +4,6 @@ experiment aggregation, slope analysis, and CSV output."""
 import math
 import os
 import pickle
-import signal
 import time
 
 import numpy as np
@@ -60,8 +59,8 @@ from treebandit.topology import TopologyError, build_chain_tree, build_uniform_t
 
 needs_two_cores = pytest.mark.skipif(
     worker_count(2) < 2,
-    reason="a pool of 2 workers needs 2 usable cores and fork; "
-           "with fewer, jobs=2 runs in-process like jobs=1",
+    reason="jobs=2 forks a child only with 2 usable cores and fork; "
+           "with fewer, it runs in-process like jobs=1",
 )
 
 
@@ -778,9 +777,11 @@ def wait_for_another_pid(path, seconds=10.0):
         time.sleep(0.005)
 
 
-def test_jobs_two_gives_the_results_and_progress_of_jobs_one():
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_jobs_two_gives_the_results_and_progress_of_jobs_one(seeds):
+    # at seeds 1 a share holds tasks of different blocks
     cfg = ExperimentConfig.from_dict(base_config(
-        horizons=[40, 25], seeds=3, trace={"window": 10, "watched": [[0, 1], [1, 3]]},
+        horizons=[40, 25], seeds=seeds, trace={"window": 10, "watched": [[0, 1], [1, 3]]},
         policies=[{"name": "eps_exp3"}, {"name": "exp3", "label": "baseline"}],
     ))
     runs = []
@@ -806,15 +807,12 @@ def test_jobs_two_gives_the_results_and_progress_of_jobs_one():
 def test_a_worker_error_reaches_the_caller_as_at_jobs_one(error_class, monkeypatch, tmp_path):
     simulation = harness.Simulation
     pids = tmp_path / "pids"
-    jobs = 1
 
     def failing(topology, policies, env, feedback, entropy):
-        # seeds 1 and 3 raise, so every task of 4 seeds in 2 ranges fails;
-        # at jobs=2 this process raises only after a child has
+        # seeds 1 and 3 raise; at jobs=2 this process's share holds seeds 0 and
+        # 3 of each T and the child's seeds 1 and 2, so both processes raise
         _, T, seed = entropy
         if seed in (1, 3):
-            if jobs > 1:
-                wait_for_another_pid(pids)
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             raise error_class(f"seed {seed} failed at T={T}")
@@ -857,29 +855,26 @@ def test_an_interrupt_in_this_process_kills_the_working_children(monkeypatch, tm
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_queue_larger_than_a_pipe_runs_every_task(workers, monkeypatch):
-    if workers > worker_count():
-        pytest.skip("one process per usable core at most")
-    # 20,000 indices are 80,000 bytes, more than a 64 KiB pipe holds; with no
-    # child to read them this process must run the overflow itself
-    tasks = [(b, 0, 1) for b in range(20_000)]
-    blocks = [(None, 1 + b % 7, None, None, 0.0) for b in range(len(tasks))]
-    monkeypatch.setattr(harness, "_run_seeds", lambda shared, b, lo, hi: ([], float(b)))
+@pytest.mark.parametrize("seeds", [1, 25])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_the_deal_puts_every_task_in_one_share_and_balances_the_horizons(workers, seeds):
+    for horizons in ([10, 20], [100, 316], [3162, 10000], [10, 20, 30],
+                     [1000, 3162, 10000, 31623, 100000]):
+        tasks = [(label, T, seed) for label in ("eps_exp3", "exp3")
+                 for T in horizons for seed in range(seeds)]
+        shares = harness._deal(tasks, workers, lambda task: task[1])
+        assert len(shares) == workers
+        assert sorted(task for share in shares for task in share) == sorted(tasks)
+        totals = [sum(T for _, T, _ in share) for share in shares]
+        assert max(totals) - min(totals) <= max(horizons), horizons
 
-    def hung(signum, frame):
-        raise TimeoutError("the task queue blocked")
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        outcomes, dead = harness._run_forked((None, None, blocks, False), tasks, workers)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert dead == ""
-    assert outcomes == {(b, 0): ([], float(b)) for b in range(len(tasks))}
-    assert_no_child_left()
+def test_the_deal_pairs_each_long_task_with_the_other_policys_short_one():
+    tasks = [(label, T) for label in ("eps_exp3", "exp3") for T in (3162, 10000)]
+    assert harness._deal(tasks, 2, lambda task: task[1]) == [
+        [("eps_exp3", 10000), ("exp3", 3162)],
+        [("exp3", 10000), ("eps_exp3", 3162)],
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -80,10 +80,8 @@ def resolve_raw_config(args) -> dict:
     name = args.config
     if not name:
         raise ConfigError(["no config given: pass a bundled scenario name or a YAML path"])
-    if os.path.exists(name):
+    if os.path.exists(name) or name.endswith((".yaml", ".yml")) or os.sep in name:
         return load_config_file(name)
-    if name.endswith((".yaml", ".yml")) or os.sep in name:
-        raise ConfigError([f"config: file not found: {name}"])
     return load_scenario(name)
 
 

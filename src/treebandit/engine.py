@@ -344,11 +344,7 @@ class Simulation:
         # flat lookups for the round loop
         self._children = topology.children
         self._pols: list = [policies.get(n) for n in range(topology.node_count)]
-        self._leaf_pos = [-1] * topology.node_count
-        for k, leaf in enumerate(topology.leaves):
-            self._leaf_pos[leaf] = k
-        order = sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n])
-        self._non_leaves_deep_first = tuple(order)
+        self._leaf_pos = topology.leaf_pos
         self._anytime = any(policies[n].anytime for n in topology.non_leaves)
         self._oracle = frozenset(
             n for n in topology.non_leaves if policies[n].requires_expected_costs
@@ -359,6 +355,8 @@ class Simulation:
             # y holds non-leaf n's cost at n and leaf k's at node_count + k
             slot = [n if k < 0 else topology.node_count + k for n, k in enumerate(self._leaf_pos)]
             self._kid_slots = [tuple([slot[c] for c in kids]) for kids in topology.children]
+            self._non_leaves_deep_first = tuple(
+                sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n]))
             self._y = [0.0] * (topology.node_count + env.n_leaves)
             self._drawn: list = [None] * topology.node_count
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)

@@ -98,11 +98,6 @@ class BernoulliTreeEnv(CostEnvironment):
         self.shift_round = shift_round
         self.shift_leaf = shift_leaf
 
-    def _means_at(self, t: int) -> np.ndarray:
-        if self.shift_round is not None and t >= self.shift_round:
-            return self._post
-        return self._pre
-
     def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random((n, self.n_leaves))
         # rows before the shift round use the pre-shift means; each draw is
@@ -113,7 +108,9 @@ class BernoulliTreeEnv(CostEnvironment):
         return u
 
     def expected_costs(self, t: int) -> np.ndarray:
-        return self._means_at(t)
+        if self.shift_round is not None and t >= self.shift_round:
+            return self._post
+        return self._pre
 
 
 class LowerBoundChainEnv(CostEnvironment):
@@ -124,13 +121,14 @@ class LowerBoundChainEnv(CostEnvironment):
     ``(1 - (2**depth - 2**k) * delta) / 2`` and the two deepest leaves get
     ``(1 -/+ 2**depth * delta) / 2``; exactly one leaf (one of the deepest
     two) is best, and each shallow leaf beats everything visible below it
-    until the deepest pair is resolved.
+    until the deepest pair is resolved. ``delta`` defaults to ``2**-(depth+1)``.
     """
 
-    def __init__(self, depth: int, delta: float, best_last_leaf: bool = False) -> None:
+    def __init__(self, depth: int, delta: float | None = None, best_last_leaf: bool = False) -> None:
         if depth < 2:
             raise EnvError(f"chain depth must be at least 2, got {depth}")
         limit = 2.0**-depth
+        delta = limit / 2 if delta is None else delta
         if not 0.0 < delta < limit:
             raise EnvError(
                 f"delta must satisfy 0 < delta < 2**-{depth} = {limit}, got {delta}"

@@ -348,16 +348,14 @@ def _read_env(errors: list[str], spec, topology: TreeTopology | None, T: int | N
         if topology is not None and len(leaves) != topology.depth + 1:
             r.fail("kind", "lower_bound_chain needs a chain topology")
         limit = 2.0 ** -topology.depth if topology is not None else math.inf
-        delta = r.get("delta", lambda v: v is None or (_is_num(v) and 0.0 < float(v) < limit),
-                      f"must satisfy 0 < delta < {limit}", None)
         opts: dict = {}
+        r.given(opts, "delta", lambda v: v is None or (_is_num(v) and 0.0 < float(v) < limit),
+                f"must satisfy 0 < delta < {limit}", float)
         r.given(opts, "best_last_leaf", lambda v: isinstance(v, bool), "must be true or false",
                 bool)
 
         def make():
-            if delta is None:
-                return LowerBoundChainEnv(topology.depth, 2.0 ** -(topology.depth + 1), **opts)
-            return LowerBoundChainEnv(topology.depth, float(delta), **opts)
+            return LowerBoundChainEnv(topology.depth, **opts)
     elif kind in ("deadline_mec", "deadline_multihop"):
         if kind == "deadline_mec" and topology is not None and topology.depth != 2:
             r.fail("kind", "deadline_mec needs topology.depth == 2")
@@ -729,7 +727,7 @@ def run_experiment(
             (row, trace_rows), run_secs = outcome
             secs += run_secs
             results.seed_rows.append(row)
-            ta_values.append(row.regret / T if T > 0 else 0.0)
+            ta_values.append(row.regret / T)
             if trace_rows:
                 if trace_acc is None:
                     trace_key_rows = [(r[0], r[1], r[2]) for r in trace_rows]
@@ -740,7 +738,7 @@ def run_experiment(
         results.aggregates.append(
             AggregateResult(config.scenario, label, D, L, T, config.seeds, mean, std)
         )
-        if trace_acc is not None and trace_key_rows is not None:
+        if trace_acc is not None:
             results.traces[(label, T)] = [
                 (we, n, c, float(p))
                 for (we, n, c), p in zip(trace_key_rows, trace_acc / config.seeds)
@@ -834,17 +832,11 @@ def fit_loglog_slope(points) -> float:
 # CSV output
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def write_outputs(results: ExperimentResults, out_dir: str) -> list[str]:

@@ -30,6 +30,7 @@ class TreeTopology:
     depth_of: tuple[int, ...] = field(init=False, repr=False)
     leaves: tuple[int, ...] = field(init=False, repr=False)
     non_leaves: tuple[int, ...] = field(init=False, repr=False)
+    leaf_pos: tuple[int, ...] = field(init=False, repr=False)  # index in leaves, or -1
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -63,10 +64,12 @@ class TreeTopology:
             raise TopologyError(f"nodes unreachable from root: {missing}")
         leaves = tuple(i for i in range(n) if not self.children[i])
         non_leaves = tuple(i for i in range(n) if self.children[i])
+        leaf_pos = {leaf: k for k, leaf in enumerate(leaves)}
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth_of", tuple(depth_of))
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "non_leaves", non_leaves)
+        object.__setattr__(self, "leaf_pos", tuple(leaf_pos.get(i, -1) for i in range(n)))
         object.__setattr__(self, "depth", max(depth_of[i] for i in leaves))
 
     @property
@@ -89,10 +92,9 @@ class TreeTopology:
 
     def leaf_index(self, leaf: int) -> int:
         """Position of ``leaf`` in the sorted leaf list (cost-vector index)."""
-        try:
-            return self.leaves.index(leaf)
-        except ValueError:
-            raise TopologyError(f"node {leaf} is not a leaf") from None
+        if not (0 <= leaf < self.node_count and self.leaf_pos[leaf] >= 0):
+            raise TopologyError(f"node {leaf} is not a leaf")
+        return self.leaf_pos[leaf]
 
     def _check(self, node: int) -> None:
         if not (0 <= node < self.node_count):

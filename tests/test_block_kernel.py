@@ -59,7 +59,7 @@ from treebandit.topology import build_chain_tree, build_uniform_tree  # noqa: E4
 
 
 def bernoulli_round(env, t, rng):
-    return (rng.random(env.n_leaves) < env._means_at(t)).astype(np.float64)
+    return (rng.random(env.n_leaves) < env.expected_costs(t)).astype(np.float64)
 
 
 def chain_round(env, t, rng):

@@ -117,6 +117,12 @@ class TestLowerBoundChainEnv:
             assert np.all(np.diff(ladder) > 0.0) or ladder.size == 1
             assert np.all((env.means > 0.0) & (env.means < 1.0))
 
+    def test_delta_defaults_to_half_its_limit(self):
+        for depth in (2, 3, 4, 5):
+            env = LowerBoundChainEnv(depth)
+            assert env.delta == 2.0 ** -(depth + 1)
+            assert np.array_equal(env.means, LowerBoundChainEnv(depth, 2.0 ** -(depth + 1)).means)
+
     def test_delta_range(self):
         with pytest.raises(EnvError):
             LowerBoundChainEnv(2, 0.3)

@@ -470,6 +470,14 @@ def test_build_env_lower_bound_default_delta():
     assert np.allclose(env.expected_costs(0), reference.expected_costs(0))
 
 
+def test_a_null_chain_delta_validates_and_takes_the_default():
+    raw = base_config(topology={"kind": "chain", "depth": 3},
+                      env={"kind": "lower_bound_chain", "delta": None})
+    assert validate_config_dict(raw) == []
+    env = build_env(raw["env"], build_topology(raw["topology"]), 100)
+    assert env.delta == 2.0 ** -4
+
+
 def test_build_env_csv(tmp_path):
     path = tmp_path / "costs.csv"
     path.write_text("1,2\n0.1,0.2\n0.3,0.4\n")

@@ -109,8 +109,20 @@ class TestQueries:
     def test_leaf_index(self):
         t = build_uniform_tree(2, 2)
         assert [t.leaf_index(l) for l in t.leaves] == [0, 1, 2, 3]
-        with pytest.raises(TopologyError):
-            t.leaf_index(1)
+        for node in (1, -1, t.node_count):  # a non-leaf, and ids on either side of the range
+            with pytest.raises(TopologyError, match=f"node {node} is not a leaf"):
+                t.leaf_index(node)
+
+
+@pytest.mark.parametrize("tree", [
+    build_uniform_tree(3, 2),
+    build_chain_tree(4),
+    TreeTopology(((1, 2, 3), (4, 5), (), (6,), (), (), (7, 8), (), ())),
+], ids=["uniform", "chain", "ragged"])
+def test_leaf_pos_is_each_leafs_position_and_minus_one_elsewhere(tree):
+    pos = {leaf: k for k, leaf in enumerate(tree.leaves)}
+    assert tree.leaf_pos == tuple(pos.get(node, -1) for node in range(tree.node_count))
+    assert all(tree.leaf_index(leaf) == k for leaf, k in pos.items())
 
 
 class TestAdjacencyParsing:

@@ -137,13 +137,21 @@ def _cmd_run(args, with_trace: bool) -> int:
         if short:
             raise ConfigError([f"trace.window: {window} is longer than horizons {short}; "
                                "every horizon must fit a full window"])
+    existing = args.out  # its nearest existing path must be a directory before any run
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError([f"--out: {existing} is not a directory"])
 
     def progress(label, T, mean, std, secs):
         print(f"{config.scenario} {label} T={T}: mean_ta_regret={mean:.6g} "
               f"stddev={std:.6g} [{config.seeds} seeds, {secs:.1f}s]", file=sys.stderr)
 
     results = run_experiment(config, with_trace=with_trace, progress=progress, jobs=args.jobs)
-    written = write_outputs(results, args.out)
+    try:
+        written = write_outputs(results, args.out)
+    except OSError as exc:
+        raise ConfigError([f"--out: {exc}"]) from None
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0

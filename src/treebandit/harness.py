@@ -547,8 +547,12 @@ def load_scenario(name: str) -> dict:
 def load_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError([f"config: file not found: {path}"])
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "rb") as fh:  # yaml decodes the bytes, so bad text is a YAMLError
+            raw = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())
+        raise ConfigError([f"config: cannot read {path}: {reason}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError([f"config: {path} does not contain a mapping"])
     return raw

@@ -81,6 +81,46 @@ def test_unknown_bundled_name_exits_one(capsys):
     assert "no bundled scenario" in capsys.readouterr().err
 
 
+def one_error_line(capsys) -> str:
+    """The only stderr line, which must be an ``error:`` line."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_a_directory_as_config_is_one_error_line(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 1
+    assert one_error_line(capsys).startswith(f"error: config: cannot read {tmp_path}: ")
+
+
+def test_malformed_yaml_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("scenario: [tiny,\n  seeds: }\n")
+    assert main(["validate", str(path)]) == 1
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: config: cannot read {path}: ") and "line 2" in line
+
+
+@pytest.mark.parametrize("below", ["", "/x"], ids=["file", "under-a-file"])
+def test_an_out_that_is_or_is_under_a_file_is_refused_before_any_run(
+    below, tiny_config, tmp_path, capsys
+):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    assert main(["run", tiny_config, "--out", f"{taken}{below}"]) == 1
+    # no progress line: no replication ran
+    assert one_error_line(capsys) == f"error: --out: {taken} is not a directory"
+    assert taken.read_text() == "keep me\n"
+
+
+def test_an_out_that_cannot_be_made_is_one_error_line(tiny_config, tmp_path, capsys):
+    out = tmp_path / ("x" * 300)  # longer than a file name may be, so makedirs fails
+    assert main(["run", tiny_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == err[-1:]
+    assert err[-1].startswith("error: --out: ")
+
+
 def test_bad_t_override_exits_one(tiny_config, capsys):
     assert main(["validate", tiny_config, "--t", "10,abc"]) == 1
     assert "--t" in capsys.readouterr().err

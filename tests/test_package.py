@@ -63,8 +63,8 @@ def test_package_import_does_not_import_numpy_random():
 
 
 def test_package_import_does_not_import_the_process_pool():
-    # run_experiment forks its workers with os.fork and feeds them through
-    # plain pipes, so not even a parallel run imports them
+    # run_experiment forks its workers with os.fork and each child sends its
+    # results back through a pipe, so not even a parallel run imports them
     code = (
         "import sys\n"
         "import treebandit, treebandit.cli\n"

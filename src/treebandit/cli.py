@@ -15,6 +15,7 @@ reproducible; pass --master-seed to change the replication stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -137,8 +138,9 @@ def _cmd_run(args, with_trace: bool) -> int:
         if short:
             raise ConfigError([f"trace.window: {window} is longer than horizons {short}; "
                                "every horizon must fit a full window"])
-    existing = args.out  # its nearest existing path must be a directory before any run
+    existing, made = args.out, []  # its nearest existing path must be a directory
     while existing and not os.path.exists(existing):
+        made.append(existing)  # deepest first
         existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
         raise ConfigError([f"--out: {existing} is not a directory"])
@@ -147,11 +149,21 @@ def _cmd_run(args, with_trace: bool) -> int:
         print(f"{config.scenario} {label} T={T}: mean_ta_regret={mean:.6g} "
               f"stddev={std:.6g} [{config.seeds} seeds, {secs:.1f}s]", file=sys.stderr)
 
-    results = run_experiment(config, with_trace=with_trace, progress=progress, jobs=args.jobs)
     try:
-        written = write_outputs(results, args.out)
-    except OSError as exc:
-        raise ConfigError([f"--out: {exc}"]) from None
+        try:  # made before any replication runs
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"--out: {exc}"]) from None
+        results = run_experiment(config, with_trace=with_trace, progress=progress, jobs=args.jobs)
+        try:
+            written = write_outputs(results, args.out)
+        except OSError as exc:
+            raise ConfigError([f"--out: {exc}"]) from None
+    except BaseException:  # a failed run leaves none of the directories it made
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)  # only an empty directory; never a file
+        raise
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0

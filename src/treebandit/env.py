@@ -15,7 +15,6 @@ of ``topology.leaves[k]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,38 +152,14 @@ class LowerBoundChainEnv(CostEnvironment):
         return self.means
 
 
-@dataclass(frozen=True)
-class RateSchedule:
-    """Exponential-delay rate, affine in the round index.
-
-    rate(t) interpolates linearly from ``start`` at t=1 to ``end`` at
-    t=horizon. Use start == end for a constant link.
-    """
-
-    start: float
-    end: float
-    horizon: int = 1
-
-    def __post_init__(self) -> None:
-        if self.start <= 0.0 or self.end <= 0.0:
-            raise EnvError("rates must be positive")
-        if self.horizon < 1:
-            raise EnvError("horizon must be >= 1")
-
-    def rate(self, t):
-        """The rate at round ``t``, an int or an integer array of rounds."""
-        if self.horizon <= 1 or self.start == self.end:
-            return self.start
-        frac = (t - 1) / (self.horizon - 1)
-        return self.start + (self.end - self.start) * frac
-
-
 class DeadlineLatencyEnv(CostEnvironment):
     """Deadline-violation costs for latency that accumulates along the path.
 
-    Each tree edge may carry an exponential delay (rate possibly
-    time-varying): ``edge_rates`` maps a non-root node to the schedule of
-    its in-edge, and an edge left out adds no delay. Each leaf adds a
+    Each tree edge may carry an exponential delay whose rate is affine in
+    the round index: ``edge_rates`` maps a non-root node to the pair
+    ``(rate at round 1, rate at round horizon)`` of its in-edge, so equal
+    rates make a constant link, and an edge left out adds no delay. With
+    ``horizon`` 1 every edge keeps its first rate. Each leaf adds a
     deterministic processing time and has a base miss rate. A round's cost
     for a leaf is 1 if its total path latency exceeds the deadline, else the
     leaf's miss rate — so the per-leaf cost is exactly two-valued. One delay
@@ -194,23 +169,30 @@ class DeadlineLatencyEnv(CostEnvironment):
     def __init__(
         self,
         topology: TreeTopology,
-        edge_rates: dict[int, RateSchedule],
+        edge_rates: dict[int, tuple[float, float]],
         leaf_proc: dict[int, float],
         leaf_miss: dict[int, float],
         deadline: float = 1.0,
+        horizon: int = 1,
     ) -> None:
         if deadline <= 0.0:
             raise EnvError("deadline must be positive")
+        if horizon < 1:
+            raise EnvError(f"horizon must be >= 1, got {horizon}")
         for node in edge_rates:
             if not 1 <= node < topology.node_count:
                 raise EnvError(f"edge key {node} is not a non-root node")
-        self.topology = topology
         self.n_leaves = len(topology.leaves)
         self.deadline = deadline
+        self.horizon = horizon
         # An edge is identified by its child node id (unique in-edge).
-        self._edges = sorted(edge_rates)
-        self._edge_pos = {n: k for k, n in enumerate(self._edges)}
-        self._schedules = [edge_rates[n] for n in self._edges]
+        edges = sorted(edge_rates)
+        rates = np.array([edge_rates[n] for n in edges], dtype=np.float64).reshape(-1, 2)
+        if not np.all((rates > 0.0) & (rates < math.inf)):  # NaN fails too
+            raise EnvError("rates must be finite and positive")
+        self._start = rates[:, 0]
+        self._slope = rates[:, 1] - rates[:, 0]
+        edge_pos = {n: k for k, n in enumerate(edges)}
         self._proc = np.zeros(self.n_leaves)
         self._miss = np.zeros(self.n_leaves)
         self._paths: list[list[int]] = []  # stochastic-edge positions per leaf
@@ -220,24 +202,23 @@ class DeadlineLatencyEnv(CostEnvironment):
                 raise EnvError(f"miss rate of leaf {leaf} must be in [0,1]")
             self._proc[k] = float(leaf_proc.get(leaf, 0.0))
             self._miss[k] = miss
-            edges = []
+            path = []
             node = leaf
             while node != 0:
-                if node in self._edge_pos:
-                    edges.append(self._edge_pos[node])
+                if node in edge_pos:
+                    path.append(edge_pos[node])
                 node = topology.parent[node]
-            self._paths.append(edges[::-1])
+            self._paths.append(path[::-1])
 
     def _rates(self, t: int, n: int) -> np.ndarray:
-        """Rows ``i = 0..n-1`` hold every stochastic edge's rate at round ``t + i``."""
-        rounds = np.arange(t, t + n)
-        rates = np.empty((n, len(self._schedules)))
-        for e, schedule in enumerate(self._schedules):
-            rates[:, e] = schedule.rate(rounds)
-        return rates
+        """Rows ``i = 0..n-1`` hold every stochastic edge's rate at round ``t + i``;
+        a constant edge's ``start + 0.0 * frac`` is exactly ``start``."""
+        frac = (np.arange(t - 1, t - 1 + n) / (self.horizon - 1) if self.horizon > 1
+                else np.zeros(n))
+        return self._start + self._slope * frac[:, None]
 
     def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        delays = rng.exponential(1.0, size=(n, len(self._edges))) / self._rates(t, n)
+        delays = rng.exponential(1.0, size=(n, self._start.size)) / self._rates(t, n)
         out = np.empty((n, self.n_leaves))
         for k, path in enumerate(self._paths):
             # proc + ((d1 + d2) + ...): the per-round proc + sum(delays) order
@@ -300,19 +281,15 @@ def make_mec_env(
     """Edge-computing scenario: root -> server (network link) -> model.
 
     First-hop edges alternate a constant-rate link and a link whose rate
-    ramps over the horizon (congestion building up). Each server hosts the
+    ramps over the horizon (congestion clearing up). Each server hosts the
     same menu of models: processing times interpolate across ``proc_range``
     and miss rates across ``miss_range`` (geometrically), so the slowest
     model is the most accurate. Second-hop edges carry no network delay.
     """
     if topology.depth != 2:
         raise EnvError("MEC scenario expects a depth-2 topology (server, model)")
-    edge_rates: dict[int, RateSchedule] = {}
-    for idx, server in enumerate(topology.children[0]):
-        if idx % 2 == 0:
-            edge_rates[server] = RateSchedule(constant_rate, constant_rate)
-        else:
-            edge_rates[server] = RateSchedule(ramp[0], ramp[1], horizon)
+    edge_rates = {server: ramp if idx % 2 else (constant_rate, constant_rate)
+                  for idx, server in enumerate(topology.children[0])}
     leaf_proc: dict[int, float] = {}
     leaf_miss: dict[int, float] = {}
     for server in topology.children[0]:
@@ -322,7 +299,7 @@ def make_mec_env(
         for j, leaf in enumerate(kids):
             leaf_proc[leaf] = float(procs[j])
             leaf_miss[leaf] = float(misses[j])
-    return DeadlineLatencyEnv(topology, edge_rates, leaf_proc, leaf_miss, deadline)
+    return DeadlineLatencyEnv(topology, edge_rates, leaf_proc, leaf_miss, deadline, horizon)
 
 
 def make_multihop_env(
@@ -338,14 +315,11 @@ def make_multihop_env(
     parity, so every path mixes stable and congesting hops. Leaves have no
     processing time or base miss rate: cost is purely the deadline flag.
     """
-    edge_rates: dict[int, RateSchedule] = {}
-    for node in range(topology.node_count):
-        for idx, child in enumerate(topology.children[node]):
-            if (topology.depth_of[child] + idx) % 2 == 0:
-                edge_rates[child] = RateSchedule(constant_rate, constant_rate)
-            else:
-                edge_rates[child] = RateSchedule(ramp[0], ramp[1], horizon)
-    return DeadlineLatencyEnv(topology, edge_rates, {}, {}, deadline)
+    constant = (constant_rate, constant_rate)
+    edge_rates = {child: ramp if (topology.depth_of[child] + idx) % 2 else constant
+                  for node in range(topology.node_count)
+                  for idx, child in enumerate(topology.children[node])}
+    return DeadlineLatencyEnv(topology, edge_rates, {}, {}, deadline, horizon)
 
 
 class CsvMatrixEnv(CostEnvironment):

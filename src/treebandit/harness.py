@@ -503,7 +503,7 @@ def _read_trace(errors: list[str], spec, topology: TreeTopology | None) -> dict 
     window = r.get("window", lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", 1000)
     watched = r.get("watched", lambda v: isinstance(v, list) and v != [],
                     "must be a non-empty list of [node, child] pairs")
-    for pair in watched or []:
+    for k, pair in enumerate(watched or []):
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
             r.fail("watched", f"bad pair {pair!r}")
         elif topology is not None:
@@ -512,6 +512,8 @@ def _read_trace(errors: list[str], spec, topology: TreeTopology | None) -> dict 
                 r.fail("watched", f"node {node} is not a non-leaf node")
             elif child not in topology.children[node]:
                 r.fail("watched", f"({node},{child}) is not an edge")
+            elif watched.index(pair) < k:
+                r.fail("watched", f"({node},{child}) is watched twice")
     r.finish()
     if not r.ok:
         return None
@@ -684,29 +686,31 @@ def run_experiment(
     one by one. Either way the results are read in grid and seed order, so the
     aggregates, the trace sums, the progress calls and the first error raised
     do not depend on ``jobs``. ``progress(label, T, mean, std, secs)`` gets a
-    block's own seconds: its set-up here plus its replications' wall time. A
-    child that dies before it returns its results raises ``WorkerError``.
+    block's own seconds: its policy read here plus its replications' wall
+    time. A child that dies before it returns its results raises
+    ``WorkerError``.
     """
     workers = worker_count(jobs)
     topology = build_topology(config.topology)
     D = topology.max_fanout
     L = topology.depth
-    blocks = []  # (policy entry, T, env, policy factory, set-up seconds) in grid order
+    # one env per T serves every policy and seed: an env holds no per-run state
+    envs = {T: build_env(config.env, topology, T) for T in config.horizons}
+    blocks = []  # (policy entry, T, policy factory, set-up seconds) in grid order
     for entry in config.policies:
         for T in sorted(config.horizons):
             t0 = time.perf_counter()
-            env = build_env(config.env, topology, T)
             # read once per (policy, T); each seed's policies are built fresh
-            make = _strict(_read_policy, entry, "policy", topology, T, env)
-            blocks.append((entry, T, env, make, time.perf_counter() - t0))
+            make = _strict(_read_policy, entry, "policy", topology, T, envs[T])
+            blocks.append((entry, T, make, time.perf_counter() - t0))
 
     def run(task):
         """One replication's (SeedResult, trace rows) and wall seconds, or the
         exception that stopped it, which the fold below raises in grid order."""
-        entry, T, env, make, _ = blocks[task[0]]
+        entry, T, make, _ = blocks[task[0]]
         t0 = time.perf_counter()
         try:
-            outcome = run_one(config, entry, T, task[1], topology, env, make, with_trace)
+            outcome = run_one(config, entry, T, task[1], topology, envs[T], make, with_trace)
         except Exception as exc:
             return exc
         return outcome, time.perf_counter() - t0
@@ -716,7 +720,7 @@ def run_experiment(
     outcomes, dead = (_run_forked(run, _deal(tasks, workers, lambda task: blocks[task[0]][1]))
                       if workers > 1 else (None, ""))
     results = ExperimentResults()
-    for b, (entry, T, _, _, secs) in enumerate(blocks):
+    for b, (entry, T, _, secs) in enumerate(blocks):
         label = policy_label(entry)
         ta_values = []
         trace_acc: np.ndarray | None = None

@@ -67,8 +67,8 @@ def chain_round(env, t, rng):
 
 
 def deadline_round(env, t, rng):
-    rates = np.array([s.rate(t) for s in env._schedules], dtype=np.float64)
-    delays = rng.exponential(1.0, size=len(env._edges)) / rates
+    rates = env._rates(t, 1)[0]
+    delays = rng.exponential(1.0, size=rates.size) / rates
     out = np.empty(env.n_leaves)
     for k in range(env.n_leaves):
         latency = env._proc[k] + sum(delays[e] for e in env._paths[k])

@@ -116,9 +116,30 @@ def test_an_out_that_is_or_is_under_a_file_is_refused_before_any_run(
 def test_an_out_that_cannot_be_made_is_one_error_line(tiny_config, tmp_path, capsys):
     out = tmp_path / ("x" * 300)  # longer than a file name may be, so makedirs fails
     assert main(["run", tiny_config, "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("error: ")] == err[-1:]
-    assert err[-1].startswith("error: --out: ")
+    # no progress line: no replication ran
+    assert one_error_line(capsys).startswith("error: --out: ")
+
+
+def test_an_empty_out_is_one_error_line(tiny_config, capsys):
+    assert main(["run", tiny_config, "--out", ""]) == 1
+    assert one_error_line(capsys) == "error: --out: [Errno 2] No such file or directory: ''"
+
+
+def test_a_failed_run_leaves_none_of_the_directories_it_made(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    import treebandit.cli as cli_mod
+
+    def interrupted(*args, **kwargs):
+        assert out.is_dir()  # made before any replication runs
+        raise KeyboardInterrupt
+
+    (tmp_path / "kept").mkdir()
+    monkeypatch.setattr(cli_mod, "run_experiment", interrupted)
+    for out in (tmp_path / "a" / "b", tmp_path / "kept" / "c"):
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", tiny_config, "--out", str(out)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "tiny.yaml"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_bad_t_override_exits_one(tiny_config, capsys):

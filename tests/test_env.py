@@ -10,7 +10,6 @@ from treebandit.env import (
     DeadlineLatencyEnv,
     EnvError,
     LowerBoundChainEnv,
-    RateSchedule,
     bernoulli_tree_means,
     hypoexponential_survival,
     make_mec_env,
@@ -224,13 +223,10 @@ class TestHypoexponentialSurvival:
 class TestDeadlineLatencyEnv:
     def _simple_env(self):
         topo = build_uniform_tree(2, 2)
-        edge_rates = {
-            1: RateSchedule(8.0, 8.0),
-            2: RateSchedule(2.0, 200.0, horizon=100),
-        }
+        edge_rates = {1: (8.0, 8.0), 2: (2.0, 200.0)}
         proc = {3: 0.5, 4: 0.2, 5: 0.5, 6: 0.2}
         miss = {3: 0.005, 4: 0.10, 5: 0.005, 6: 0.10}
-        return DeadlineLatencyEnv(topo, edge_rates, proc, miss)
+        return DeadlineLatencyEnv(topo, edge_rates, proc, miss, horizon=100)
 
     def test_two_valued_costs(self):
         env = self._simple_env()
@@ -269,7 +265,7 @@ class TestDeadlineLatencyEnv:
 
     def test_impossible_budget(self):
         topo = build_uniform_tree(2, 1)
-        env = DeadlineLatencyEnv(topo, {1: RateSchedule(5.0, 5.0)}, {1: 1.5, 2: 0.0}, {})
+        env = DeadlineLatencyEnv(topo, {1: (5.0, 5.0)}, {1: 1.5, 2: 0.0}, {})
         assert env.expected_costs(1)[0] == 1.0
 
     def test_shared_edge_draws_correlate_siblings(self):
@@ -278,7 +274,7 @@ class TestDeadlineLatencyEnv:
         topo = build_uniform_tree(2, 2)
         env = DeadlineLatencyEnv(
             topo,
-            {1: RateSchedule(1.0, 1.0), 2: RateSchedule(1.0, 1.0)},
+            {1: (1.0, 1.0), 2: (1.0, 1.0)},
             {leaf: 0.5 for leaf in topo.leaves},
             {},
         )
@@ -290,11 +286,23 @@ class TestDeadlineLatencyEnv:
     def test_validation(self):
         topo = build_uniform_tree(2, 1)
         with pytest.raises(EnvError):
-            DeadlineLatencyEnv(topo, {0: RateSchedule(1, 1)}, {}, {})
+            DeadlineLatencyEnv(topo, {0: (1, 1)}, {}, {})
         with pytest.raises(EnvError):
             DeadlineLatencyEnv(topo, {}, {}, {1: 1.5})
-        with pytest.raises(EnvError):
-            RateSchedule(0.0, 5.0)
+        for rates, horizon in (((0.0, 5.0), 10), ((math.nan, 5.0), 10), ((1.0, 5.0), 0)):
+            with pytest.raises(EnvError):
+                DeadlineLatencyEnv(topo, {1: rates}, {}, {}, horizon=horizon)
+
+    def test_rates_interpolate_from_round_one_to_the_horizon(self):
+        env = self._simple_env()
+        assert env._rates(1, 1)[0].tolist() == [8.0, 2.0]
+        assert env._rates(50, 1)[0].tolist() == [8.0, 2.0 + 198.0 * (49 / 99)]
+        assert env._rates(100, 1)[0].tolist() == [8.0, 200.0]
+        # a block's rows are the rounds' one-row blocks
+        assert env._rates(1, 100).tolist() == [env._rates(t, 1)[0].tolist() for t in range(1, 101)]
+        topo = build_uniform_tree(2, 2)
+        flat = DeadlineLatencyEnv(topo, {1: (8.0, 8.0), 2: (2.0, 200.0)}, {}, {})
+        assert flat._rates(1, 100).tolist() == [[8.0, 2.0]] * 100
 
 
 class TestScenarioBuilders:
@@ -318,7 +326,19 @@ class TestScenarioBuilders:
         rng = np.random.default_rng(9)
         c = env.costs_block(1, 1, rng)[0]
         assert set(np.unique(c)) <= {0.0, 1.0}
-        assert len(env._edges) == topo.node_count - 1
+        assert env._start.size == topo.node_count - 1
+
+    def test_edge_rates_at_the_first_and_last_round(self):
+        # mec: first-hop links alternate constant (even position) and ramp
+        mec = make_mec_env(build_uniform_tree(3, 2), horizon=1000)
+        assert mec._rates(1, 1)[0].tolist() == [8.0, 2.0, 8.0]
+        assert mec._rates(1000, 1)[0].tolist() == [8.0, 200.0, 8.0]
+        # multihop: edges 1..14 in node order (depths 1, 2, 3); constant where
+        # depth + child position is even
+        multihop = make_multihop_env(build_uniform_tree(2, 3), horizon=500)
+        assert multihop._rates(1, 1)[0].tolist() == [2.0, 8.0] + [8.0, 2.0] * 2 + [2.0, 8.0] * 4
+        assert multihop._rates(500, 1)[0].tolist() == (
+            [200.0, 8.0] + [8.0, 200.0] * 2 + [200.0, 8.0] * 4)
 
     def test_multihop_expected_in_unit_interval(self):
         topo = build_uniform_tree(2, 2)

@@ -207,6 +207,8 @@ def test_missing_required_key_reported(key):
         # classic eta is gamma / K, so gamma 0 is the key at fault
         ({"policies": [{"name": "exp3", "gamma": 0}]}, "policies[0].gamma"),
         ({"policies": [{"name": "exp3", "gamma": 0, "eta": "classic"}]}, "policies[0].gamma"),
+        # each watched pair was written to the trace once per repeat
+        ({"trace": {"window": 10, "watched": [[0, 1], [0, 1]]}}, "trace.watched"),
     ],
 )
 def test_errors_name_the_offending_key(patch, key, tmp_path):

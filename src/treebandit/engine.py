@@ -166,13 +166,6 @@ def _words(ints) -> list[int]:
     return words
 
 
-def _generator(words: list[int]) -> np.random.Generator:
-    """``default_rng(key)`` for the key whose words are ``words``, minus its list
-    coercion. The environment stream is seeded here; tests patch it to record the key."""
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) at its default pool size
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -291,13 +284,13 @@ def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, l
     of (entropy..., 0) and of (entropy..., 1, node id), so replays are
     bit-exact and node draws are independent of traversal order.
 
-    The env stream is seeded through numpy's SeedSequence. The seed states of
+    The env stream is ``default_rng`` of the key's words. The seed states of
     all node streams are computed here at once by ``_seed_states``, a copy of
     SeedSequence's hash that the tests pin to numpy's; each node's generator
     is built from its state at the node's first draw.
     """
     base = _words(entropy)
-    env_rng = _generator(base + [0])
+    env_rng = np.random.default_rng(base + [0])
     node_rngs: list = [None] * topology.node_count
     for node, state in zip(topology.non_leaves, _seed_states(base + [1], topology.non_leaves)):
         node_rngs[node] = NodeStream(state)

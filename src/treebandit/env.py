@@ -331,30 +331,35 @@ class CsvMatrixEnv(CostEnvironment):
     """
 
     def __init__(self, path: str) -> None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else str(exc)
+            raise EnvError(f"cannot read {path}: {reason}") from None
+        header = lines[0].strip() if lines else ""
+        if not header:
+            raise EnvError(f"{path}: empty cost matrix")
+        try:
+            self.leaf_ids = [int(tok) for tok in header.split(",")]
+        except ValueError:
+            raise EnvError(f"{path}:1: header must be leaf ids, got {header!r}") from None
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header:
-                raise EnvError(f"{path}: empty cost matrix")
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
             try:
-                self.leaf_ids = [int(tok) for tok in header.split(",")]
+                vals = [float(tok) for tok in line.split(",")]
             except ValueError:
-                raise EnvError(f"{path}:1: header must be leaf ids, got {header!r}") from None
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    vals = [float(tok) for tok in line.split(",")]
-                except ValueError:
-                    raise EnvError(
-                        f"{path}:{lineno}: costs must be numbers, got {line.strip()!r}"
-                    ) from None
-                if len(vals) != len(self.leaf_ids):
-                    raise EnvError(f"{path}:{lineno}: expected {len(self.leaf_ids)} costs")
-                # a NaN fails both comparisons, so it is rejected with the range
-                if not all(0.0 <= v <= 1.0 for v in vals):
-                    raise EnvError(f"{path}:{lineno}: costs must be finite and lie in [0,1]")
-                rows.append(vals)
+                raise EnvError(
+                    f"{path}:{lineno}: costs must be numbers, got {line.strip()!r}"
+                ) from None
+            if len(vals) != len(self.leaf_ids):
+                raise EnvError(f"{path}:{lineno}: expected {len(self.leaf_ids)} costs")
+            # a NaN fails both comparisons, so it is rejected with the range
+            if not all(0.0 <= v <= 1.0 for v in vals):
+                raise EnvError(f"{path}:{lineno}: costs must be finite and lie in [0,1]")
+            rows.append(vals)
         if not rows:
             raise EnvError(f"{path}: no cost rows")
         self._matrix = np.asarray(rows, dtype=np.float64)

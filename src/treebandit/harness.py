@@ -115,7 +115,6 @@ class ExperimentConfig:
     seeds: int
     master_seed: int
     trace: dict | None
-    description: str
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -171,6 +170,11 @@ def _pair(check):
 
 def _floats(x) -> tuple[float, ...]:
     return tuple(map(float, x))
+
+
+# ``_Reader.get``'s check, message and default for a key set to 'horizon_tuned' or a number
+_TUNED_OR_POSITIVE = (lambda v: v == "horizon_tuned" or _positive(v),
+                      "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
 
 
 class _Reader:
@@ -247,7 +251,7 @@ def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
         return None
     r = _Reader(raw, "", errors)
     scenario = r.get("scenario", _is_name, f"must be a non-empty string {_NAME_NEED}")
-    description = r.get("description", default="")
+    r.get("description", default="")  # ``treebandit scenarios`` prints it from the raw YAML
     horizons = r.get(
         "horizons",
         lambda v: isinstance(v, list) and v != [] and all(_is_int(t) and t >= 1 for t in v)
@@ -289,7 +293,6 @@ def _read_config(errors: list[str], raw) -> ExperimentConfig | None:
         seeds=seeds,
         master_seed=master_seed,
         trace=trace,
-        description=str(description),
     )
 
 
@@ -409,8 +412,7 @@ def _read_policy(
     L = topology.depth if topology is not None else None
     D = topology.max_fanout if topology is not None else None
     if name == "eps_exp3":
-        eta = r.get("eta", lambda v: v == "horizon_tuned" or _positive(v),
-                    "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
+        eta = r.get("eta", *_TUNED_OR_POSITIVE)
         eps = r.get("epsilon", lambda v: v == "horizon_tuned" or _unit(v),
                     "must be 'horizon_tuned' or in [0,1]", "horizon_tuned")
 
@@ -433,8 +435,7 @@ def _read_policy(
                 K, depth=L, max_fanout=D, children_all_leaves=topology.children_all_leaves(node)
             )
     elif name == "normalized_eg":
-        eta = r.get("eta", lambda v: v == "horizon_tuned" or _positive(v),
-                    "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
+        eta = r.get("eta", *_TUNED_OR_POSITIVE)
 
         def make(node, K):
             return NormalizedEG(
@@ -483,8 +484,7 @@ def _read_policy(
             r.fail("name", "oracle_chain needs binary non-leaf nodes")
         profile = r.get("profile", lambda v: v in ("constant", "exp_decay"),
                         "must be 'constant' or 'exp_decay'", "constant")
-        q_spec = r.get("q", lambda v: v == "horizon_tuned" or _positive(v),
-                       "must be 'horizon_tuned' or a number > 0", "horizon_tuned")
+        q_spec = r.get("q", *_TUNED_OR_POSITIVE)
 
         def make(node, K):
             q = T ** (-1.0 / L) if q_spec == "horizon_tuned" else float(q_spec)
@@ -685,10 +685,9 @@ def run_experiment(
     and policy factories built here (``_run_forked``); otherwise they run here
     one by one. Either way the results are read in grid and seed order, so the
     aggregates, the trace sums, the progress calls and the first error raised
-    do not depend on ``jobs``. ``progress(label, T, mean, std, secs)`` gets a
-    block's own seconds: its policy read here plus its replications' wall
-    time. A child that dies before it returns its results raises
-    ``WorkerError``.
+    do not depend on ``jobs``. ``progress(label, T, mean, std, secs)`` gets
+    the sum of the block's replications' wall times, wherever they ran. A
+    child that dies before it returns its results raises ``WorkerError``.
     """
     workers = worker_count(jobs)
     topology = build_topology(config.topology)
@@ -696,18 +695,15 @@ def run_experiment(
     L = topology.depth
     # one env per T serves every policy and seed: an env holds no per-run state
     envs = {T: build_env(config.env, topology, T) for T in config.horizons}
-    blocks = []  # (policy entry, T, policy factory, set-up seconds) in grid order
-    for entry in config.policies:
-        for T in sorted(config.horizons):
-            t0 = time.perf_counter()
-            # read once per (policy, T); each seed's policies are built fresh
-            make = _strict(_read_policy, entry, "policy", topology, T, envs[T])
-            blocks.append((entry, T, make, time.perf_counter() - t0))
+    # (policy entry, T, policy factory) in grid order: each entry is read once
+    # per (policy, T), and each seed's policies are built fresh
+    blocks = [(entry, T, _strict(_read_policy, entry, "policy", topology, T, envs[T]))
+              for entry in config.policies for T in sorted(config.horizons)]
 
     def run(task):
         """One replication's (SeedResult, trace rows) and wall seconds, or the
         exception that stopped it, which the fold below raises in grid order."""
-        entry, T, make, _ = blocks[task[0]]
+        entry, T, make = blocks[task[0]]
         t0 = time.perf_counter()
         try:
             outcome = run_one(config, entry, T, task[1], topology, envs[T], make, with_trace)
@@ -720,8 +716,9 @@ def run_experiment(
     outcomes, dead = (_run_forked(run, _deal(tasks, workers, lambda task: blocks[task[0]][1]))
                       if workers > 1 else (None, ""))
     results = ExperimentResults()
-    for b, (entry, T, _, secs) in enumerate(blocks):
+    for b, (entry, T, _) in enumerate(blocks):
         label = policy_label(entry)
+        secs = 0.0
         ta_values = []
         trace_acc: np.ndarray | None = None
         trace_key_rows: list[tuple[int, int, int]] | None = None

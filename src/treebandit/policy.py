@@ -256,7 +256,7 @@ class EpsilonExp3(_SoftmaxPolicy):
     def __init__(self, n_children: int, eta: float, epsilon: float) -> None:
         super().__init__(n_children, eta, epsilon)
         self._uniform_draws = _mode_draws("U", n_children)
-        self._exploit_draws = _mode_draws("E", n_children)
+        self._draws = _mode_draws("E", n_children)
 
     @property
     def epsilon(self) -> float:
@@ -274,8 +274,8 @@ class EpsilonExp3(_SoftmaxPolicy):
         for j, p in enumerate(self._soft):
             acc += p
             if u < acc:
-                return self._exploit_draws[j]
-        return self._exploit_draws[-1]
+                return self._draws[j]
+        return self._draws[-1]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if receive_prob <= 0.0:

@@ -142,6 +142,43 @@ def test_a_failed_run_leaves_none_of_the_directories_it_made(
     assert list((tmp_path / "kept").iterdir()) == []
 
 
+def test_an_out_that_cannot_hold_the_outputs_ends_in_one_error_line(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    import treebandit.cli as cli_mod
+
+    def full(results, out_dir):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_mod, "write_outputs", full)
+    out = tmp_path / "o"
+    assert main(["run", tiny_config, "--out", str(out)]) == 1
+    # the progress lines of the run, then the error
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: --out: [Errno 28] No space left on device"
+    assert len(err) == 5 and not any(line.startswith("error: ") for line in err[:-1])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_an_unreadable_cost_file_is_one_error_line_against_env_path(
+        command, kind, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if kind == "directory":
+        os.mkdir("costs.csv")
+        reason = "Is a directory"
+    else:
+        with open("costs.csv", "wb") as fh:
+            fh.write(b"3,4,5,6\n0,0,0,\xff\n")
+        reason = "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+    config = TINY_CONFIG.replace("kind: bernoulli_tree\n  p_min: 0.2", "kind: csv\n  path: costs.csv")
+    with open("tiny.yaml", "w") as fh:
+        fh.write(config)
+    assert main([command, "tiny.yaml", "--out", "o/p"]) == 1
+    assert one_error_line(capsys) == f"error: env.path: cannot read costs.csv: {reason}"
+    assert not os.path.exists("o")
+
+
 def test_bad_t_override_exits_one(tiny_config, capsys):
     assert main(["validate", tiny_config, "--t", "10,abc"]) == 1
     assert "--t" in capsys.readouterr().err

@@ -361,7 +361,7 @@ class TestDeterminism:
     def test_only_nodes_on_the_path_are_seeded(self, monkeypatch):
         topo = build_uniform_tree(4, 3)
         seeded = []
-        generator = engine._generator
+        default_rng = np.random.default_rng
         node_generator = engine._node_generator
         # a node stream is seeded from its key's state, which names the key
         key_of = {
@@ -369,15 +369,15 @@ class TestDeterminism:
             for n in topo.non_leaves
         }
 
-        def recording(words):
-            seeded.append(list(words))
-            return generator(words)
+        def recording(key):
+            seeded.append(list(key))
+            return default_rng(key)
 
         def recording_node(state):
             seeded.append(key_of[state.tobytes()])
             return node_generator(state)
 
-        monkeypatch.setattr(engine, "_generator", recording)
+        monkeypatch.setattr(np.random, "default_rng", recording)
         monkeypatch.setattr(engine, "_node_generator", recording_node)
         sim = make_bandit_sim(topo, np.linspace(0.9, 0.1, 64),
                               lambda k: EpsilonExp3(k, eta=0.3, epsilon=0.5), (5, 6))

@@ -209,6 +209,12 @@ def test_missing_required_key_reported(key):
         ({"policies": [{"name": "exp3", "gamma": 0, "eta": "classic"}]}, "policies[0].gamma"),
         # each watched pair was written to the trace once per repeat
         ({"trace": {"window": 10, "watched": [[0, 1], [0, 1]]}}, "trace.watched"),
+        ({"env": {"kind": "csv", "path": "no/such/costs.csv"}}, "env.path"),
+        (
+            {"topology": {"kind": "uniform", "fanout": 3, "depth": 2},
+             "policies": [{"name": "oracle_chain"}]},
+            "policies[0].name",
+        ),
     ],
 )
 def test_errors_name_the_offending_key(patch, key, tmp_path):

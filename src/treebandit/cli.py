@@ -97,7 +97,7 @@ def apply_overrides(raw: dict, args) -> dict:
         raw["seeds"] = args.seeds
     if args.master_seed is not None:
         raw["master_seed"] = args.master_seed
-    if args.policy is not None:
+    if args.policy is not None and isinstance(raw.get("policies", []), list):
         keep = [p for p in raw.get("policies", [])
                 if isinstance(p, dict) and policy_label(p) == args.policy]
         if not keep:

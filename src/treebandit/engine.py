@@ -484,13 +484,8 @@ class Simulation:
         """Execute rounds 1..T; optionally record windowed probability traces."""
         if T < 0:
             raise EngineError(f"horizon must be >= 0, got {T}")
-        watch_idx = []
-        for node, child in trace.watched if trace is not None else ():
-            if not 0 <= node < self.topology.node_count or self._pols[node] is None:
-                raise EngineError(f"watched node {node} is not a non-leaf node")
-            if child not in self._children[node]:
-                raise EngineError(f"watched pair ({node},{child}) is not an edge")
-            watch_idx.append((node, self._children[node].index(child)))
+        watch_idx = [(node, self.topology.child_index(node, child))
+                     for node, child in (trace.watched if trace is not None else ())]
         t = 1
         while t <= T:
             n = min(self._block_rounds, T - t + 1)

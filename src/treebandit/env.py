@@ -269,15 +269,18 @@ def hypoexponential_survival(budget: float, rates) -> float:
     return float(np.clip(prob[0].sum(), 0.0, 1.0))
 
 
-def make_mec_env(
-    topology: TreeTopology,
-    horizon: int,
-    constant_rate: float = 8.0,
-    ramp: tuple[float, float] = (2.0, 200.0),
-    proc_range: tuple[float, float] = (0.5, 0.2),
-    miss_range: tuple[float, float] = (0.005, 0.10),
-    deadline: float = 1.0,
-) -> DeadlineLatencyEnv:
+def _deadline_env(topology: TreeTopology, horizon: int, ramps: dict[int, bool], leaf_proc: dict,
+                  leaf_miss: dict, constant_rate: float = 8.0,
+                  ramp: tuple[float, float] = (2.0, 200.0), **deadline) -> DeadlineLatencyEnv:
+    """The deadline scenarios' links: a node's in-edge ramps over ``ramp`` where ``ramps``
+    flags it and holds ``constant_rate`` elsewhere; ``deadline`` goes to the env."""
+    rates = {n: ramp if up else (constant_rate, constant_rate) for n, up in ramps.items()}
+    return DeadlineLatencyEnv(topology, rates, leaf_proc, leaf_miss, horizon=horizon, **deadline)
+
+
+def make_mec_env(topology: TreeTopology, horizon: int,
+                 proc_range: tuple[float, float] = (0.5, 0.2),
+                 miss_range: tuple[float, float] = (0.005, 0.10), **links) -> DeadlineLatencyEnv:
     """Edge-computing scenario: root -> server (network link) -> model.
 
     First-hop edges alternate a constant-rate link and a link whose rate
@@ -285,11 +288,11 @@ def make_mec_env(
     same menu of models: processing times interpolate across ``proc_range``
     and miss rates across ``miss_range`` (geometrically), so the slowest
     model is the most accurate. Second-hop edges carry no network delay.
+    ``links`` may set ``constant_rate``, ``ramp`` and ``deadline``.
     """
     if topology.depth != 2:
         raise EnvError("MEC scenario expects a depth-2 topology (server, model)")
-    edge_rates = {server: ramp if idx % 2 else (constant_rate, constant_rate)
-                  for idx, server in enumerate(topology.children[0])}
+    ramps = {server: idx % 2 == 1 for idx, server in enumerate(topology.children[0])}
     leaf_proc: dict[int, float] = {}
     leaf_miss: dict[int, float] = {}
     for server in topology.children[0]:
@@ -299,27 +302,20 @@ def make_mec_env(
         for j, leaf in enumerate(kids):
             leaf_proc[leaf] = float(procs[j])
             leaf_miss[leaf] = float(misses[j])
-    return DeadlineLatencyEnv(topology, edge_rates, leaf_proc, leaf_miss, deadline, horizon)
+    return _deadline_env(topology, horizon, ramps, leaf_proc, leaf_miss, **links)
 
 
-def make_multihop_env(
-    topology: TreeTopology,
-    horizon: int,
-    constant_rate: float = 8.0,
-    ramp: tuple[float, float] = (2.0, 200.0),
-    deadline: float = 1.0,
-) -> DeadlineLatencyEnv:
+def make_multihop_env(topology: TreeTopology, horizon: int, **links) -> DeadlineLatencyEnv:
     """Multi-hop relay scenario: every edge is a stochastic link.
 
     Links alternate constant and ramping rates by (depth + child position)
     parity, so every path mixes stable and congesting hops. Leaves have no
     processing time or base miss rate: cost is purely the deadline flag.
+    ``links`` may set ``constant_rate``, ``ramp`` and ``deadline``.
     """
-    constant = (constant_rate, constant_rate)
-    edge_rates = {child: ramp if (topology.depth_of[child] + idx) % 2 else constant
-                  for node in range(topology.node_count)
-                  for idx, child in enumerate(topology.children[node])}
-    return DeadlineLatencyEnv(topology, edge_rates, {}, {}, deadline, horizon)
+    ramps = {child: (topology.depth_of[child] + idx) % 2 == 1
+             for kids in topology.children for idx, child in enumerate(kids)}
+    return _deadline_env(topology, horizon, ramps, {}, {}, **links)
 
 
 class CsvMatrixEnv(CostEnvironment):

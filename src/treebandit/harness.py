@@ -55,7 +55,7 @@ from treebandit.policy import (
     eg_default_eta,
     exp_decay_forward_prob,
 )
-from treebandit.topology import TreeTopology, build_chain_tree, build_uniform_tree
+from treebandit.topology import TopologyError, TreeTopology, build_chain_tree, build_uniform_tree
 
 DEFAULT_MASTER_SEED = 20240517
 
@@ -472,7 +472,7 @@ def _read_policy(
             cur = leaf
             while cur != 0:
                 up = topology.parent[cur]
-                pins[up] = topology.children[up].index(cur)
+                pins[up] = topology.child_index(up, cur)
                 cur = up
 
         def make(node, K):
@@ -507,13 +507,13 @@ def _read_trace(errors: list[str], spec, topology: TreeTopology | None) -> dict 
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
             r.fail("watched", f"bad pair {pair!r}")
         elif topology is not None:
-            node, child = pair
-            if not 0 <= node < topology.node_count or topology.is_leaf(node):
-                r.fail("watched", f"node {node} is not a non-leaf node")
-            elif child not in topology.children[node]:
-                r.fail("watched", f"({node},{child}) is not an edge")
-            elif watched.index(pair) < k:
-                r.fail("watched", f"({node},{child}) is watched twice")
+            try:
+                topology.child_index(*pair)
+            except TopologyError as exc:
+                r.fail("watched", str(exc))
+                continue
+            if watched.index(pair) < k:
+                r.fail("watched", f"({pair[0]},{pair[1]}) is watched twice")
     r.finish()
     if not r.ok:
         return None

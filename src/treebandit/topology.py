@@ -96,6 +96,14 @@ class TreeTopology:
             raise TopologyError(f"node {leaf} is not a leaf")
         return self.leaf_pos[leaf]
 
+    def child_index(self, node: int, child: int) -> int:
+        """Position of ``child`` among ``node``'s children (policy arm index)."""
+        if not (0 <= node < self.node_count and self.children[node]):
+            raise TopologyError(f"node {node} is not a non-leaf node")
+        if child not in self.children[node]:
+            raise TopologyError(f"({node},{child}) is not an edge")
+        return self.children[node].index(child)
+
     def _check(self, node: int) -> None:
         if not (0 <= node < self.node_count):
             raise TopologyError(f"unknown node id {node}")

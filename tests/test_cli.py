@@ -197,6 +197,19 @@ def test_policy_filter_must_match_a_label(tiny_config, capsys):
     assert "no policy labelled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value", ["5", "", "abc"], ids=["int", "null", "str"])
+def test_policy_filter_on_policies_that_are_not_a_list(
+        command, value, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY_CONFIG.split("policies:")[0] + f"policies: {value}\n")
+    out = tmp_path / "o"
+    assert main([command, str(path), "--policy", "uniform", "--out", str(out)]) == 1
+    got = {"5": "5", "": "None", "abc": "'abc'"}[value]
+    assert one_error_line(capsys) == f"error: policies: must be a non-empty list, got {got}"
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # scenarios / validate
 

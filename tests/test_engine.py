@@ -31,7 +31,7 @@ from treebandit.policy import (
     default_params,
     exp_decay_forward_prob,
 )
-from treebandit.topology import TreeTopology, build_chain_tree, build_uniform_tree
+from treebandit.topology import TopologyError, TreeTopology, build_chain_tree, build_uniform_tree
 
 
 def uniform_tree_policies(topology, factory):
@@ -675,14 +675,14 @@ class TestTrace:
     def test_watched_pair_must_be_an_edge(self):
         topo = build_uniform_tree(2, 2)
         sim = make_bandit_sim(topo, [0.5] * 4, lambda k: UniformRandomPolicy(k))
-        with pytest.raises(EngineError, match="not an edge"):
+        with pytest.raises(TopologyError, match=r"^\(0,5\) is not an edge$"):
             sim.run(10, trace=TraceRecorder(window=5, watched=((0, 5),)))
 
     @pytest.mark.parametrize("node", [-3, -1, 1, 3])
     def test_watched_node_must_be_a_non_leaf(self, node):
         topo = build_uniform_tree(2, 1)
         sim = make_bandit_sim(topo, [0.5, 0.5], lambda k: UniformRandomPolicy(k))
-        with pytest.raises(EngineError, match=f"watched node {node} is not a non-leaf node"):
+        with pytest.raises(TopologyError, match=f"^node {node} is not a non-leaf node$"):
             sim.run(4, trace=TraceRecorder(window=2, watched=((node, 1),)))
         assert sim.ledger.rounds_elapsed == 0
 

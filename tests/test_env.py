@@ -339,6 +339,11 @@ class TestScenarioBuilders:
         assert multihop._rates(1, 1)[0].tolist() == [2.0, 8.0] + [8.0, 2.0] * 2 + [2.0, 8.0] * 4
         assert multihop._rates(500, 1)[0].tolist() == (
             [200.0, 8.0] + [8.0, 200.0] * 2 + [200.0, 8.0] * 4)
+        assert mec.deadline == multihop.deadline == 1.0
+        # the link keywords reach the env
+        slow = make_multihop_env(build_uniform_tree(2, 3), 500, deadline=0.5, constant_rate=4.0)
+        assert slow.deadline == 0.5 and slow.horizon == 500
+        assert slow._rates(1, 1)[0].tolist() == [2.0, 4.0] + [4.0, 2.0] * 2 + [2.0, 4.0] * 4
 
     def test_multihop_expected_in_unit_interval(self):
         topo = build_uniform_tree(2, 2)

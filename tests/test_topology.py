@@ -113,6 +113,25 @@ class TestQueries:
             with pytest.raises(TopologyError, match=f"node {node} is not a leaf"):
                 t.leaf_index(node)
 
+    def test_child_index_is_the_position_among_the_nodes_children(self):
+        t = build_uniform_tree(3, 2)
+        assert [t.child_index(0, c) for c in (1, 2, 3)] == [0, 1, 2]
+        assert [t.child_index(2, c) for c in (7, 8, 9)] == [0, 1, 2]
+        chain = build_chain_tree(3)  # node i's children: (leaf, next node); last: two leaves
+        assert [chain.child_index(0, 3), chain.child_index(0, 1)] == [0, 1]
+        assert [chain.child_index(1, 4), chain.child_index(1, 2)] == [0, 1]
+        assert [chain.child_index(2, 5), chain.child_index(2, 6)] == [0, 1]
+
+    @pytest.mark.parametrize("node", [-1, -4, 7, 99, 4])  # negative, out of range, a leaf
+    def test_child_index_needs_a_non_leaf_node(self, node):
+        with pytest.raises(TopologyError, match=f"^node {node} is not a non-leaf node$"):
+            build_uniform_tree(2, 2).child_index(node, 1)
+
+    @pytest.mark.parametrize("node, child", [(0, 3), (0, 0), (1, 5), (2, 3), (0, -1)])
+    def test_child_index_needs_an_edge(self, node, child):
+        with pytest.raises(TopologyError, match=fr"^\({node},{child}\) is not an edge$"):
+            build_uniform_tree(2, 2).child_index(node, child)
+
 
 @pytest.mark.parametrize("tree", [
     build_uniform_tree(3, 2),

@@ -19,7 +19,8 @@ Two feedback models:
   ``prob(child)``) and handed to each path node's update.
 - COMPLETE_ONE_HOP: every non-leaf selects a child every round, would-be
   costs y propagate bottom-up through the selections, and every node
-  observes y for ALL its children.
+  observes y for ALL its children: one slice of the round's y, a list with
+  a slot per node in which each non-leaf's children sit side by side.
 
 Communication per hop is two scalars (v down, cost up); the recursion's
 call boundary stands in for the message exchange.
@@ -345,12 +346,17 @@ class Simulation:
         self._all_fixed = all(policies[n].fixed for n in topology.non_leaves)
         self._refreshed = None  # the expected costs of a refresh that still holds
         if feedback is FeedbackModel.COMPLETE_ONE_HOP:
-            # y holds non-leaf n's cost at n and leaf k's at node_count + k
-            slot = [n if k < 0 else topology.node_count + k for n, k in enumerate(self._leaf_pos)]
-            self._kid_slots = [tuple([slot[c] for c in kids]) for kids in topology.children]
-            self._non_leaves_deep_first = tuple(
-                sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n]))
-            self._y = [0.0] * (topology.node_count + env.n_leaves)
+            # node n's children hold slots first[n]..first[n+1]-1; the root, the last
+            slot = [topology.node_count - 1] * topology.node_count
+            first = [0]
+            for kids in topology.children:
+                for s, c in enumerate(kids, first[-1]):
+                    slot[c] = s
+                first.append(first[-1] + len(kids))
+            self._slots_deep_first = tuple(
+                (n, first[n], first[n + 1], slot[n])
+                for n in sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n]))
+            self._leaf_slots = np.array([slot[n] for n in topology.leaves], dtype=np.intp)
             self._drawn: list = [None] * topology.node_count
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
@@ -409,20 +415,21 @@ class Simulation:
         hops.append((node, None, v))
         return realized, hops
 
-    def _complete_round(self, block: np.ndarray, i: int):
+    def _complete_round(self, rows: np.ndarray, i: int):
         """Every non-leaf selects and observes all its children's would-be
-        costs (row i); returns what ``_bandit_round`` returns."""
+        costs; returns what ``_bandit_round`` returns. Row i of ``rows``, as
+        the list y, holds the leaf costs at their slots; children first, each
+        non-leaf writes its chosen child's cost at its own slot (the root's is
+        the last), then observes the slice of its children's slots."""
         children = self._children
         pols = self._pols
-        kid_slots = self._kid_slots
-        y = self._y
+        rngs = self._node_rngs
         drawn = self._drawn
-        y[self.topology.node_count:] = block[i].tolist()
-        # children before parents, so each node copies its chosen child's final y
-        for node in self._non_leaves_deep_first:
-            draw = pols[node].select(self._node_rngs[node])
+        y = rows[i].tolist()
+        for node, first, _, own in self._slots_deep_first:
+            draw = pols[node].select(rngs[node])
             drawn[node] = draw
-            y[node] = y[kid_slots[node][draw.child]]
+            y[own] = y[first + draw.child]
         # receive probabilities come from the distributions before any update
         hops = []
         node = 0
@@ -435,16 +442,19 @@ class Simulation:
             node = kids[draw.child]
             kids = children[node]
         hops.append((node, None, v))
-        for node in self._non_leaves_deep_first:
-            pols[node].observe_all([y[s] for s in kid_slots[node]])
-        return y[0], hops
+        for node, first, end, _ in self._slots_deep_first:
+            pols[node].observe_all(y[first:end])
+        return y[-1], hops
 
     def _run_block(self, t0: int, n: int, trace=None, watch_idx=()):
         """Run rounds t0..t0+n-1 on one block of environment costs; returns
         the last round's realized cost and hops."""
         block = self._draw_block(t0, n)
-        bandit = self.feedback is FeedbackModel.END_TO_END_BANDIT
-        route = self._bandit_round if bandit else self._complete_round
+        route, rows = self._bandit_round, block
+        if self.feedback is FeedbackModel.COMPLETE_ONE_HOP:
+            # a slot per node; _complete_round writes the non-leaves' slots
+            route, rows = self._complete_round, np.empty((n, self.topology.node_count))
+            rows[:, self._leaf_slots] = block
         anytime = self._anytime
         realized = []
         for i in range(n):
@@ -461,7 +471,7 @@ class Simulation:
                     self._refreshed = expected if self._all_fixed else None
             if trace is not None:
                 trace.observe(t, [self._pols[n].prob(j) for n, j in watch_idx])
-            cost, hops = route(block, i)
+            cost, hops = route(rows, i)
             realized.append(cost)
         self.ledger.record(realized, block)
         return cost, hops

@@ -166,6 +166,7 @@ class _SoftmaxPolicy(NodePolicy):
     Subclasses pass in their mix and supply the feedback method that lowers
     the scores ``_theta``. ``_soft`` is softmax(eta * theta) at all times:
     whatever changes the scores or ``eta`` recomputes it before returning.
+    ``set_params`` writes ``eta`` and ``mix`` and derives floor and scale.
     """
 
     def __init__(self, n_children: int, eta: float, mix: float) -> None:
@@ -187,12 +188,15 @@ class _SoftmaxPolicy(NodePolicy):
         self._soft = stable_softmax(scores, self.eta)
 
     def set_params(self, eta: float, mix: float) -> None:
-        if eta <= 0.0:
-            raise PolicyError(f"eta must be positive, got {eta}")
+        # written so that a NaN, which fails every comparison, fails the check
+        if not 0.0 < eta < math.inf:
+            raise PolicyError(f"eta must be positive and finite, got {eta}")
         if not 0.0 <= mix <= 1.0:
             raise PolicyError(f"mixing rate (epsilon or gamma) must lie in [0,1], got {mix}")
         self.eta = eta
         self.mix = mix
+        self._floor = mix / self.n_children
+        self._scale = 1.0 - mix
         self._soft = stable_softmax(self._theta, eta)
 
     def exploit_probs(self) -> list[float]:
@@ -203,14 +207,12 @@ class _SoftmaxPolicy(NodePolicy):
         return [self.prob(j) for j in range(self.n_children)]
 
     def prob(self, child: int) -> float:
-        mix = self.mix
-        return mix / self.n_children + (1.0 - mix) * self._soft[child]
+        return self._floor + self._scale * self._soft[child]
 
     def select(self, rng) -> ModeDraw:
         # inverse CDF of distribution(), its entries made on the fly
-        mix = self.mix
-        floor = mix / self.n_children
-        scale = 1.0 - mix
+        floor = self._floor
+        scale = self._scale
         u = rng.random()
         acc = 0.0
         for j, p in enumerate(self._soft):

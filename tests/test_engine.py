@@ -61,6 +61,20 @@ class FixedCostEnv(CostEnvironment):
         return self._vec.copy()
 
 
+class UniformCostEnv(CostEnvironment):
+    """Leaf costs drawn uniformly from [0,1): no two would-be costs tie."""
+
+    def __init__(self, n_leaves):
+        self._n = n_leaves
+
+    @property
+    def n_leaves(self):
+        return self._n
+
+    def costs_block(self, t, n, rng):
+        return rng.random((n, self._n))
+
+
 class TestConstruction:
     def test_missing_policy_rejected(self):
         topo = build_uniform_tree(2, 2)
@@ -225,6 +239,43 @@ class TestOneHopSemantics:
             for node, child in zip(out.path, out.path[1:]):
                 expect.append(expect[-1] * snapshot[node][topo.children[node].index(child)])
             assert out.receive_probs == tuple(expect)
+
+    @pytest.mark.parametrize("topo", [
+        build_chain_tree(3),
+        # children out of id order, leaves mixed with non-leaves, node 9 above node 4
+        TreeTopology(((5, 2, 1), (8, 3, 7), (11, 9, 6), (), (), (), (), (), (), (10, 4), (), ())),
+    ], ids=["chain_d3", "hand_built"])
+    def test_matches_a_plain_reference_on_ragged_trees(self, topo):
+        T, entropy = 300, (17, 4)
+        env = UniformCostEnv(len(topo.leaves))
+        policies = uniform_tree_policies(topo, lambda k: NormalizedEG(k, 0.7))
+        sim = Simulation(topo, policies, env, FeedbackModel.COMPLETE_ONE_HOP, entropy)
+        sim.run(T)
+
+        # the same streams and draws, each child-cost list built by hand
+        env_rng, node_rngs = rng_streams(topo, entropy)
+        block = env.costs_block(1, T, env_rng).tolist()
+        ref = uniform_tree_policies(topo, lambda k: NormalizedEG(k, 0.7))
+
+        def cost(node, row):
+            kids = topo.children[node]
+            if not kids:
+                return row[topo.leaf_index(node)]
+            child_costs = [cost(c, row) for c in kids]
+            draw = ref[node].select(node_rngs[node])
+            ref[node].observe_all(child_costs)
+            return child_costs[draw.child]
+
+        algorithm = 0.0
+        leaf_totals = [0.0] * len(topo.leaves)
+        for row in block:
+            algorithm += cost(0, row)
+            for k, c in enumerate(row):
+                leaf_totals[k] += c
+        assert sim.ledger.cumulative_algorithm_cost == algorithm
+        assert sim.ledger.cumulative_leaf_costs.tolist() == leaf_totals
+        for node in topo.non_leaves:
+            assert policies[node].theta == ref[node].theta
 
 
 class TestRegretLedger:

@@ -442,6 +442,9 @@ class TestSoftmaxIsCurrent:
             for op in rng.choice(_CHANGES, size=int(rng.integers(1, 25))):
                 _apply(pol, str(op), rng)
                 assert pol.exploit_probs() == stable_softmax(pol.theta, pol.eta)
+                # the floor and scale that set_params derives follow mix
+                assert pol.distribution() == [
+                    pol.mix / pol.n_children + (1.0 - pol.mix) * p for p in pol.exploit_probs()]
 
     @pytest.mark.parametrize("name", sorted(_SOFTMAX_LEARNERS))
     def test_reads_compute_no_softmax(self, name, monkeypatch):
@@ -484,3 +487,23 @@ class TestSoftmaxIsCurrent:
         assert pol.exploit_probs() == stable_softmax([0.0, -3.0], 1.0)
         with pytest.raises(PolicyError, match="one score per child"):
             pol.theta = [0.0]
+
+
+class TestSoftmaxParams:
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(_SOFTMAX_LEARNERS))
+    def test_rejects_eta_that_is_not_finite_and_positive(self, name, eta):
+        pol = _SOFTMAX_LEARNERS[name](3)
+        pol.theta = [0.0, -1.0, -2.5]
+        before = (pol.eta, pol.mix, pol.distribution())
+        with pytest.raises(PolicyError, match="eta must be positive and finite"):
+            pol.set_params(eta, pol.mix)
+        # a rejected call changes nothing
+        assert (pol.eta, pol.mix, pol.distribution()) == before
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_constructors_reject_non_finite_eta(self, eta):
+        for make in (lambda: EpsilonExp3(3, eta, 0.1), lambda: Exp3Baseline(3, eta, 0.1),
+                     lambda: NormalizedEG(3, eta)):
+            with pytest.raises(PolicyError, match="eta must be positive and finite"):
+                make()

@@ -13,10 +13,12 @@ reduce down the rows of a block, whose order a test pins).
 Two feedback models:
 
 - END_TO_END_BANDIT: only nodes on the job's path learn anything, and all
-  they see is the single realized leaf cost. The receive probability v is
-  propagated multiplicatively down the path (v[root] = 1, v[child] =
+  they see is the single realized leaf cost, handed up only when it is
+  nonzero: an update with cost 0 changes nothing. The receive probability v
+  is propagated multiplicatively down the path (v[root] = 1, v[child] =
   v[node] * x[node][child], with x[node][child] read from the node's
-  ``prob(child)``) and handed to each path node's update.
+  ``prob(child)`` before its own update) and handed to each path node's
+  update.
 - COMPLETE_ONE_HOP: every non-leaf selects a child every round, would-be
   costs y propagate bottom-up through the selections, and every node
   observes y for ALL its children: one slice of the round's y, a list with
@@ -42,23 +44,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain
 
 import numpy as np
 
 from treebandit.env import CostEnvironment
-from treebandit.policy import ModeDraw, NodePolicy, anytime_segment
+from treebandit.policy import FeedbackModel, ModeDraw, NodePolicy, anytime_segment
 from treebandit.topology import TreeTopology
 
 
 class EngineError(ValueError):
     """Raised for inconsistent run setups or out-of-range costs."""
-
-
-class FeedbackModel(Enum):
-    COMPLETE_ONE_HOP = "one_hop"
-    END_TO_END_BANDIT = "bandit"
 
 
 @dataclass(frozen=True)
@@ -329,6 +325,9 @@ class Simulation:
                 raise EngineError(
                     f"policy at node {node} covers {pol.n_children} children, tree has {want}"
                 )
+            if feedback not in pol.accepts:
+                raise EngineError(f"policy at node {node} ({type(pol).__name__}) does not "
+                                  f"accept {feedback.value} feedback")
         self.topology = topology
         self.policies = dict(policies)
         self.env = env
@@ -390,30 +389,39 @@ class Simulation:
         return val
 
     def _bandit_round(self, block: np.ndarray, i: int):
-        """Route a job on the costs in block row i and update the path.
+        """Route a job on the costs in block row i and, only if its cost is
+        nonzero, hand the cost up the path (``_teach``).
 
-        Returns the realized cost and the hops: (node, draw, receive prob)
-        for each node on the path, ending with (leaf, None, its prob)."""
+        Returns the realized cost, the hops: (node, draw) for each node on the
+        path, ending with (leaf, None), and ``_teach``'s receive probabilities,
+        or None after a zero-cost round."""
         children = self._children
         pols = self._pols
         rngs = self._node_rngs
         hops = []
         node = 0
-        v = 1.0
         kids = children[0]
         while kids:
-            pol = pols[node]
-            draw = pol.select(rngs[node])
-            hops.append((node, draw, v))
-            child = draw.child
-            v = v * pol.prob(child)
-            node = kids[child]
+            draw = pols[node].select(rngs[node])
+            hops.append((node, draw))
+            node = kids[draw.child]
             kids = children[node]
         realized = block.item(i, self._leaf_pos[node])
-        for hop_node, draw, own_v in hops:
-            pols[hop_node].update(draw, realized, own_v)
-        hops.append((node, None, v))
-        return realized, hops
+        probs = self._teach(hops, realized) if realized else None
+        hops.append((node, None))
+        return realized, hops, probs
+
+    def _teach(self, hops, cost: float) -> list[float]:
+        """Update each hop's node with ``cost`` and its receive probability,
+        reading the node's ``prob`` of its draw before its own update; returns
+        the receive probabilities, the root's 1 first and the leaf's last."""
+        pols = self._pols
+        probs = [1.0]
+        for node, draw in hops:
+            pol = pols[node]
+            probs.append(probs[-1] * pol.prob(draw.child))
+            pol.update(draw, cost, probs[-2])
+        return probs
 
     def _complete_round(self, rows: np.ndarray, i: int):
         """Every non-leaf selects and observes all its children's would-be
@@ -434,21 +442,23 @@ class Simulation:
         hops = []
         node = 0
         v = 1.0
+        probs = [v]
         kids = children[0]
         while kids:
             draw = drawn[node]
-            hops.append((node, draw, v))
+            hops.append((node, draw))
             v = v * pols[node].prob(draw.child)
+            probs.append(v)
             node = kids[draw.child]
             kids = children[node]
-        hops.append((node, None, v))
+        hops.append((node, None))
         for node, first, end, _ in self._slots_deep_first:
             pols[node].observe_all(y[first:end])
-        return y[-1], hops
+        return y[-1], hops, probs
 
     def _run_block(self, t0: int, n: int, trace=None, watch_idx=()):
         """Run rounds t0..t0+n-1 on one block of environment costs; returns
-        the last round's realized cost and hops."""
+        what the route returned for the last round."""
         block = self._draw_block(t0, n)
         route, rows = self._bandit_round, block
         if self.feedback is FeedbackModel.COMPLETE_ONE_HOP:
@@ -471,10 +481,10 @@ class Simulation:
                     self._refreshed = expected if self._all_fixed else None
             if trace is not None:
                 trace.observe(t, [self._pols[n].prob(j) for n, j in watch_idx])
-            cost, hops = route(rows, i)
-            realized.append(cost)
+            last = route(rows, i)
+            realized.append(last[0])
         self.ledger.record(realized, block)
-        return cost, hops
+        return last
 
     # -- public API ------------------------------------------------------------
 
@@ -482,13 +492,13 @@ class Simulation:
         """Execute round t (t >= 1) and report what happened."""
         if t < 1:
             raise EngineError(f"round must be >= 1, got {t}")
-        realized, hops = self._run_block(t, 1)
+        realized, hops, probs = self._run_block(t, 1)
         modes = None
         if self.feedback is FeedbackModel.END_TO_END_BANDIT:
-            modes = tuple(draw for _, draw, _ in hops[:-1])
-        return RoundOutcome(
-            tuple(node for node, _, _ in hops), realized, tuple(v for _, _, v in hops), modes
-        )
+            modes = tuple(draw for _, draw in hops[:-1])
+            if probs is None:  # no learner changed, and updates with cost 0 change none
+                probs = self._teach(hops[:-1], 0.0)
+        return RoundOutcome(tuple(node for node, _ in hops), realized, tuple(probs), modes)
 
     def run(self, T: int, trace: TraceRecorder | None = None) -> RegretLedger:
         """Execute rounds 1..T; optionally record windowed probability traces."""

@@ -639,10 +639,10 @@ def run_one(
     """Run one seeded replication on ``env``, which every seed of ``T`` shares, with
     the fresh policies ``make_policies()`` builds; returns (SeedResult, trace rows)."""
     policies = make_policies()
-    # normalized_eg learns from every child's cost (one-hop feedback); every
-    # other policy learns from the end-to-end cost alone
-    one_hop = isinstance(policies[0], NormalizedEG)
-    feedback = FeedbackModel.COMPLETE_ONE_HOP if one_hop else FeedbackModel.END_TO_END_BANDIT
+    # end-to-end bandit feedback, unless the policies learn only from every child's cost
+    feedback = FeedbackModel.END_TO_END_BANDIT
+    if feedback not in policies[0].accepts:
+        feedback = FeedbackModel.COMPLETE_ONE_HOP
     sim = Simulation(topology, policies, env, feedback, entropy=(config.master_seed, T, seed))
     trace = TraceRecorder(**config.trace) if with_trace and config.trace is not None else None
     ledger = sim.run(T, trace=trace)

@@ -10,12 +10,16 @@ Policies fall into two feedback families:
   every child's would-be cost each round (exponential-weights update).
 - ``update(draw, cost, receive_prob)``: end-to-end bandit feedback, the
   node sees one realized cost only on rounds the job passed through it.
+  An update with cost 0 must change nothing: the engine skips them, and
+  each learner returns at once on cost 0 for direct callers.
+
+A class's ``accepts`` names the feedback models it learns under.
 
 ``distribution()`` returns the current selection distribution over child
 positions, for trace emission and the expected-cost recursion.
 ``prob(child)`` returns one entry of it, the same float, without building
-the list: the engine multiplies it into the receive probability at every
-hop.
+the list: the engine multiplies it into the receive probabilities along a
+path.
 
 The three learners share one exponential-weights learner,
 ``_SoftmaxPolicy``: scores ``theta``, rate ``eta``, their softmax, and its
@@ -33,11 +37,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import cache
 from math import exp
 from typing import Callable
 
 PROB_FLOOR = 1e-300
+
+
+class FeedbackModel(Enum):
+    COMPLETE_ONE_HOP = "one_hop"
+    END_TO_END_BANDIT = "bandit"
 
 
 class PolicyError(ValueError):
@@ -123,6 +133,7 @@ def stable_softmax(theta, eta: float) -> list[float]:
 class NodePolicy:
     """Base class; subclasses override the methods their feedback model uses."""
 
+    accepts: frozenset[FeedbackModel] = frozenset()
     requires_expected_costs = False
     anytime = False
     fixed = False  # True: the distribution changes only in set_expected_costs
@@ -229,6 +240,8 @@ class NormalizedEG(_SoftmaxPolicy):
     subtracts it from that child's score; selection is softmax(eta * theta).
     """
 
+    accepts = frozenset({FeedbackModel.COMPLETE_ONE_HOP})
+
     def __init__(self, n_children: int, eta: float) -> None:
         super().__init__(n_children, eta, 0.0)
 
@@ -255,6 +268,8 @@ class EpsilonExp3(_SoftmaxPolicy):
     even though the node only sees jobs that reach it.
     """
 
+    accepts = frozenset({FeedbackModel.END_TO_END_BANDIT})
+
     def __init__(self, n_children: int, eta: float, epsilon: float) -> None:
         super().__init__(n_children, eta, epsilon)
         self._uniform_draws = _mode_draws("U", n_children)
@@ -280,7 +295,7 @@ class EpsilonExp3(_SoftmaxPolicy):
         return self._draws[-1]
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
-        if receive_prob <= 0.0:
+        if not receive_prob > 0.0:  # a NaN fails it too
             raise PolicyError(f"receive probability must be positive, got {receive_prob}")
         if not 0.0 <= cost <= 1.0:
             raise PolicyError(f"cost must lie in [0,1], got {cost}")
@@ -340,6 +355,8 @@ class Exp3Baseline(_SoftmaxPolicy):
     baseline whose deep nodes starve once ancestors commit.
     """
 
+    accepts = frozenset({FeedbackModel.END_TO_END_BANDIT})
+
     def __init__(self, n_children: int, eta: float, gamma: float) -> None:
         super().__init__(n_children, eta, gamma)
 
@@ -365,6 +382,7 @@ class _FixedPolicy(NodePolicy):
     """A policy that never learns: it ignores all feedback, and its
     distribution is the list ``_dist``."""
 
+    accepts = frozenset(FeedbackModel)
     fixed = True
 
     def distribution(self) -> list[float]:

@@ -17,14 +17,19 @@ from treebandit.engine import (
     TraceRecorder,
     rng_streams,
 )
-from treebandit.env import BernoulliTreeEnv, CostEnvironment, EnvError, LowerBoundChainEnv
+from treebandit.env import (
+    BernoulliTreeEnv,
+    CostEnvironment,
+    EnvError,
+    LowerBoundChainEnv,
+    make_multihop_env,
+)
 from treebandit.policy import (
     AnytimeEpsilonExp3,
     EpsilonExp3,
     Exp3Baseline,
     NormalizedEG,
     OraclePolicy,
-    PolicyError,
     StationaryPolicy,
     UniformRandomPolicy,
     constant_forward_prob,
@@ -192,19 +197,30 @@ class TestFeedbackIsolation:
         for n in topo.non_leaves:
             assert all(th != 0.0 for th in policies[n].theta)
 
+    # rejected when the engine is built, before any draw: a bandit run hands
+    # up no zero cost, so an env that always costs 0 would never reach update
     def test_one_hop_feedback_policy_in_bandit_run_raises(self):
-        topo = build_uniform_tree(2, 1)
-        sim = Simulation(topo, {0: NormalizedEG(2, 0.1)}, BernoulliTreeEnv([0.5, 0.5]),
-                         FeedbackModel.END_TO_END_BANDIT, (1,))
-        with pytest.raises(PolicyError):
-            sim.run_round(1)
+        topo = build_uniform_tree(2, 2)
+        policies = {0: EpsilonExp3(2, 0.1, 0.2), 1: EpsilonExp3(2, 0.1, 0.2),
+                    2: NormalizedEG(2, 0.1)}
+        for env in (FixedCostEnv([0.0] * 4), BernoulliTreeEnv([0.5] * 4)):
+            with pytest.raises(EngineError, match=r"^policy at node 2 \(NormalizedEG\) "
+                                                  "does not accept bandit feedback$"):
+                Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, (1,))
 
     def test_bandit_policy_in_one_hop_run_raises(self):
         topo = build_uniform_tree(2, 1)
-        sim = Simulation(topo, {0: EpsilonExp3(2, 0.1, 0.2)}, BernoulliTreeEnv([0.5, 0.5]),
-                         FeedbackModel.COMPLETE_ONE_HOP, (1,))
-        with pytest.raises(PolicyError):
-            sim.run_round(1)
+        for pol in (EpsilonExp3(2, 0.1, 0.2), Exp3Baseline(2, 0.1, 0.2)):
+            for env in (FixedCostEnv([0.0, 0.0]), BernoulliTreeEnv([0.5, 0.5])):
+                with pytest.raises(EngineError, match=rf"^policy at node 0 \({type(pol).__name__}"
+                                                      r"\) does not accept one_hop feedback$"):
+                    Simulation(topo, {0: pol}, env, FeedbackModel.COMPLETE_ONE_HOP, (1,))
+
+    def test_fixed_policies_accept_both_feedback_models(self):
+        topo = build_chain_tree(2)
+        for feedback in FeedbackModel:
+            policies = {0: StationaryPolicy(2, 1), 1: UniformRandomPolicy(2)}
+            Simulation(topo, policies, FixedCostEnv([0.5] * 3), feedback, (1,)).run(5)
 
 
 class TestOneHopSemantics:
@@ -276,6 +292,77 @@ class TestOneHopSemantics:
         assert sim.ledger.cumulative_leaf_costs.tolist() == leaf_totals
         for node in topo.non_leaves:
             assert policies[node].theta == ref[node].theta
+
+
+class TestBanditSemantics:
+    @pytest.mark.parametrize("make_env", [
+        lambda topo, T: make_multihop_env(topo, T, deadline=0.5),  # mostly zero costs
+        lambda topo, T: BernoulliTreeEnv(np.linspace(0.9, 0.2, len(topo.leaves))),
+    ], ids=["deadline", "bernoulli"])
+    @pytest.mark.parametrize("topo", [
+        build_uniform_tree(2, 3),
+        TreeTopology(((5, 2, 1), (8, 3, 7), (11, 9, 6), (), (), (), (), (), (), (10, 4), (), ())),
+    ], ids=["uniform_d2l3", "hand_built"])
+    @pytest.mark.parametrize("factory", [
+        lambda k: EpsilonExp3(k, eta=0.3, epsilon=0.2),
+        lambda k: Exp3Baseline(k, eta=0.3, gamma=0.2),
+    ], ids=["eps_exp3", "exp3"])
+    def test_matches_a_plain_reference(self, factory, topo, make_env):
+        T, entropy = 600, (29, 3)
+        env = make_env(topo, T)
+        policies = uniform_tree_policies(topo, factory)
+        sim = Simulation(topo, policies, env, FeedbackModel.END_TO_END_BANDIT, entropy)
+        sim.run(T)
+
+        # the same streams and draws; every hop updates, zero costs included,
+        # with its receive probability from the start-of-round distributions
+        env_rng, node_rngs = rng_streams(topo, entropy)
+        block = env.costs_block(1, T, env_rng).tolist()
+        ref = uniform_tree_policies(topo, factory)
+        algorithm = 0.0
+        leaf_totals = [0.0] * len(topo.leaves)
+        zero_rounds = 0
+        for row in block:
+            hops = []
+            node, v = 0, 1.0
+            while topo.children[node]:
+                draw = ref[node].select(node_rngs[node])
+                hops.append((node, draw, v))
+                v *= ref[node].prob(draw.child)
+                node = topo.children[node][draw.child]
+            cost = row[topo.leaf_index(node)]
+            for hop_node, draw, own_v in hops:
+                ref[hop_node].update(draw, cost, own_v)
+            zero_rounds += cost == 0.0
+            algorithm += cost
+            for k, c in enumerate(row):
+                leaf_totals[k] += c
+        assert 0 < zero_rounds < T  # both kinds of round occur
+        assert sim.ledger.cumulative_algorithm_cost == algorithm
+        assert sim.ledger.cumulative_leaf_costs.tolist() == leaf_totals
+        for node in topo.non_leaves:
+            assert policies[node].theta == ref[node].theta
+
+    @pytest.mark.parametrize("factory", [
+        lambda k: EpsilonExp3(k, eta=0.5, epsilon=0.3),
+        lambda k: Exp3Baseline(k, eta=0.5, gamma=0.3),
+    ], ids=["eps_exp3", "exp3"])
+    def test_zero_cost_round_reports_start_of_round_probs(self, factory):
+        topo = build_uniform_tree(2, 2)
+        policies = uniform_tree_policies(topo, factory)
+        for n in topo.non_leaves:
+            policies[n].theta = [0.0, -1.5 * n - 1.0]
+        snapshot = {n: policies[n].distribution() for n in topo.non_leaves}
+        sim = Simulation(topo, policies, FixedCostEnv([0.0] * 4),
+                         FeedbackModel.END_TO_END_BANDIT, (6,))
+        for t in range(1, 21):
+            out = sim.run_round(t)
+            expect = [1.0]
+            for node, child in zip(out.path, out.path[1:]):
+                expect.append(expect[-1] * snapshot[node][topo.children[node].index(child)])
+            assert out.realized_cost == 0.0
+            assert out.receive_probs == tuple(expect)
+            assert {n: policies[n].distribution() for n in topo.non_leaves} == snapshot
 
 
 class TestRegretLedger:

@@ -54,6 +54,19 @@ class TestDefaultParams:
         assert_allclose(eg_default_eta(2, 10**5), math.sqrt(math.log(2) / 10**5))
 
 
+@pytest.mark.parametrize("pol, accepts", [
+    (EpsilonExp3(2, eta=1.0, epsilon=0.5), {"bandit"}),
+    (AnytimeEpsilonExp3(2, depth=1, max_fanout=2, children_all_leaves=True), {"bandit"}),
+    (Exp3Baseline(2, eta=1.0, gamma=0.5), {"bandit"}),
+    (NormalizedEG(2, eta=1.0), {"one_hop"}),
+    (StationaryPolicy(2, 0), {"bandit", "one_hop"}),
+    (UniformRandomPolicy(2), {"bandit", "one_hop"}),
+    (OraclePolicy(2, constant_forward_prob(0.2)), {"bandit", "one_hop"}),
+], ids=["eps_exp3", "anytime", "exp3", "normalized_eg", "stationary", "uniform", "oracle"])
+def test_each_policy_states_the_feedback_it_accepts(pol, accepts):
+    assert {model.value for model in pol.accepts} == accepts
+
+
 class TestNormalizedEG:
     def test_fresh_state_is_uniform(self):
         pol = NormalizedEG(2, eta=0.7)
@@ -190,6 +203,14 @@ class TestEpsilonExp3Update:
             pol.update(ModeDraw("U", 0), cost=1.5, receive_prob=0.5)
         with pytest.raises(PolicyError):
             pol.update(ModeDraw(None, 0), cost=0.5, receive_prob=0.5)
+
+    @pytest.mark.parametrize("mode", ["U", "E"])
+    def test_nan_receive_prob_rejected(self, mode):
+        pol = EpsilonExp3(2, eta=1.0, epsilon=0.5)
+        pol.theta = [-0.25, -1.0]
+        with pytest.raises(PolicyError, match="receive probability must be positive, got nan"):
+            pol.update(ModeDraw(mode, 1), cost=1.0, receive_prob=math.nan)
+        assert pol.theta == [-0.25, -1.0]
 
     def test_underflow_guard_raises(self):
         pol = EpsilonExp3(2, eta=1.0, epsilon=0.0)

@@ -24,8 +24,10 @@ Two feedback models:
   observes y for ALL its children: one slice of the round's y, a list with
   a slot per node in which each non-leaf's children sit side by side.
 
-Communication per hop is two scalars (v down, cost up); the recursion's
-call boundary stands in for the message exchange.
+Communication per hop is two scalars (v down, cost up). A round's route
+returns only the realized cost and keeps each non-leaf's draw in one
+per-node list; ``run_round`` reads the path from those draws and the
+receive probabilities from a one-round trace of every edge.
 
 Randomness comes from one environment stream and one stream per non-leaf,
 each keyed by the run's entropy (``rng_streams``). The PCG64 seed states of
@@ -356,7 +358,7 @@ class Simulation:
                 (n, first[n], first[n + 1], slot[n])
                 for n in sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n]))
             self._leaf_slots = np.array([slot[n] for n in topology.leaves], dtype=np.intp)
-            self._drawn: list = [None] * topology.node_count
+        self._drawn: list = [None] * topology.node_count  # each non-leaf's latest draw
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
 
     # -- per-round machinery -------------------------------------------------
@@ -388,77 +390,52 @@ class Simulation:
                 val += p * w
         return val
 
-    def _bandit_round(self, block: np.ndarray, i: int):
-        """Route a job on the costs in block row i and, only if its cost is
-        nonzero, hand the cost up the path (``_teach``).
-
-        Returns the realized cost, the hops: (node, draw) for each node on the
-        path, ending with (leaf, None), and ``_teach``'s receive probabilities,
-        or None after a zero-cost round."""
+    def _bandit_round(self, block: np.ndarray, i: int) -> float:
+        """Route a job on the costs in block row i, each node's draw going to
+        ``_drawn``; returns the realized cost. Only if it is nonzero, walk the
+        path again and update each node with it and its receive probability,
+        reading the node's ``prob`` of its draw before its own update."""
         children = self._children
         pols = self._pols
         rngs = self._node_rngs
-        hops = []
-        node = 0
-        kids = children[0]
+        drawn = self._drawn
+        node, kids = 0, children[0]
         while kids:
-            draw = pols[node].select(rngs[node])
-            hops.append((node, draw))
+            draw = drawn[node] = pols[node].select(rngs[node])
             node = kids[draw.child]
             kids = children[node]
         realized = block.item(i, self._leaf_pos[node])
-        probs = self._teach(hops, realized) if realized else None
-        hops.append((node, None))
-        return realized, hops, probs
+        if realized:
+            v, node, kids = 1.0, 0, children[0]
+            while kids:
+                pol, draw = pols[node], drawn[node]
+                v_node, v = v, v * pol.prob(draw.child)
+                pol.update(draw, realized, v_node)
+                node = kids[draw.child]
+                kids = children[node]
+        return realized
 
-    def _teach(self, hops, cost: float) -> list[float]:
-        """Update each hop's node with ``cost`` and its receive probability,
-        reading the node's ``prob`` of its draw before its own update; returns
-        the receive probabilities, the root's 1 first and the leaf's last."""
-        pols = self._pols
-        probs = [1.0]
-        for node, draw in hops:
-            pol = pols[node]
-            probs.append(probs[-1] * pol.prob(draw.child))
-            pol.update(draw, cost, probs[-2])
-        return probs
-
-    def _complete_round(self, rows: np.ndarray, i: int):
-        """Every non-leaf selects and observes all its children's would-be
-        costs; returns what ``_bandit_round`` returns. Row i of ``rows``, as
-        the list y, holds the leaf costs at their slots; children first, each
-        non-leaf writes its chosen child's cost at its own slot (the root's is
-        the last), then observes the slice of its children's slots."""
-        children = self._children
+    def _complete_round(self, rows: np.ndarray, i: int) -> float:
+        """Every non-leaf selects, its draw going to ``_drawn``, and observes
+        all its children's would-be costs; returns the realized cost. Row i
+        of ``rows``, as the list y, holds the leaf costs at their slots;
+        children first, each non-leaf writes its chosen child's cost at its
+        own slot (the root's is the last), then observes the slice of its
+        children's slots."""
         pols = self._pols
         rngs = self._node_rngs
         drawn = self._drawn
         y = rows[i].tolist()
         for node, first, _, own in self._slots_deep_first:
-            draw = pols[node].select(rngs[node])
-            drawn[node] = draw
+            draw = drawn[node] = pols[node].select(rngs[node])
             y[own] = y[first + draw.child]
-        # receive probabilities come from the distributions before any update
-        hops = []
-        node = 0
-        v = 1.0
-        probs = [v]
-        kids = children[0]
-        while kids:
-            draw = drawn[node]
-            hops.append((node, draw))
-            v = v * pols[node].prob(draw.child)
-            probs.append(v)
-            node = kids[draw.child]
-            kids = children[node]
-        hops.append((node, None))
         for node, first, end, _ in self._slots_deep_first:
             pols[node].observe_all(y[first:end])
-        return y[-1], hops, probs
+        return y[-1]
 
-    def _run_block(self, t0: int, n: int, trace=None, watch_idx=()):
+    def _run_block(self, t0: int, n: int, trace=None, watch_idx=()) -> float:
         """Run rounds t0..t0+n-1 on one block of environment costs; returns
-        what the route returned for the last round."""
+        the last round's realized cost."""
         block = self._draw_block(t0, n)
         route, rows = self._bandit_round, block
         if self.feedback is FeedbackModel.COMPLETE_ONE_HOP:
@@ -481,24 +458,34 @@ class Simulation:
                     self._refreshed = expected if self._all_fixed else None
             if trace is not None:
                 trace.observe(t, [self._pols[n].prob(j) for n, j in watch_idx])
-            last = route(rows, i)
-            realized.append(last[0])
+            realized.append(route(rows, i))
         self.ledger.record(realized, block)
-        return last
+        return realized[-1]
 
     # -- public API ------------------------------------------------------------
 
     def run_round(self, t: int) -> RoundOutcome:
-        """Execute round t (t >= 1) and report what happened."""
+        """Execute round t (t >= 1) and report what happened. The path follows
+        the draws in ``_drawn``; the receive probabilities multiply its edges'
+        start-of-round probabilities, read by a one-round trace of every edge
+        (after any segment restart and oracle refresh, before routing)."""
         if t < 1:
             raise EngineError(f"round must be >= 1, got {t}")
-        realized, hops, probs = self._run_block(t, 1)
+        children = self._children
+        edges = [(node, j) for node in self.topology.non_leaves
+                 for j in range(len(children[node]))]
+        trace = TraceRecorder(1, tuple((node, children[node][j]) for node, j in edges))
+        realized = self._run_block(t, 1, trace, edges)
+        start = {(node, child): p for _, node, child, p in trace.rows}
+        path, probs = [0], [1.0]
+        while children[path[-1]]:
+            node = path[-1]
+            path.append(children[node][self._drawn[node].child])
+            probs.append(probs[-1] * start[node, path[-1]])
         modes = None
         if self.feedback is FeedbackModel.END_TO_END_BANDIT:
-            modes = tuple(draw for _, draw in hops[:-1])
-            if probs is None:  # no learner changed, and updates with cost 0 change none
-                probs = self._teach(hops[:-1], 0.0)
-        return RoundOutcome(tuple(node for node, _ in hops), realized, tuple(probs), modes)
+            modes = tuple(self._drawn[node] for node in path[:-1])
+        return RoundOutcome(tuple(path), realized, tuple(probs), modes)
 
     def run(self, T: int, trace: TraceRecorder | None = None) -> RegretLedger:
         """Execute rounds 1..T; optionally record windowed probability traces."""

@@ -74,7 +74,7 @@ class BernoulliTreeEnv(CostEnvironment):
         p = np.asarray(means, dtype=np.float64)
         if p.ndim != 1 or p.size < 2:
             raise EnvError("means must be a vector with at least 2 entries")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
             raise EnvError("Bernoulli means must lie in [0,1]")
         self.n_leaves = int(p.size)
         self._pre = p.copy()
@@ -175,8 +175,8 @@ class DeadlineLatencyEnv(CostEnvironment):
         deadline: float = 1.0,
         horizon: int = 1,
     ) -> None:
-        if deadline <= 0.0:
-            raise EnvError("deadline must be positive")
+        if not 0.0 < deadline < math.inf:  # NaN fails too
+            raise EnvError(f"deadline must be positive and finite, got {deadline}")
         if horizon < 1:
             raise EnvError(f"horizon must be >= 1, got {horizon}")
         for node in edge_rates:
@@ -200,7 +200,10 @@ class DeadlineLatencyEnv(CostEnvironment):
             miss = float(leaf_miss.get(leaf, 0.0))
             if not 0.0 <= miss <= 1.0:
                 raise EnvError(f"miss rate of leaf {leaf} must be in [0,1]")
-            self._proc[k] = float(leaf_proc.get(leaf, 0.0))
+            proc = float(leaf_proc.get(leaf, 0.0))
+            if not -math.inf < proc < math.inf:  # NaN fails too
+                raise EnvError(f"processing time of leaf {leaf} must be finite, got {proc}")
+            self._proc[k] = proc
             self._miss[k] = miss
             path = []
             node = leaf

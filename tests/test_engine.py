@@ -173,6 +173,93 @@ class TestReceiveProbabilities:
         assert eg.run_round(1).modes is None
 
 
+class TestRunRoundOutcome:
+    """``run_round`` reports the probabilities in force when its round routes,
+    which a snapshot taken before the call misses after a segment restart or
+    an oracle refresh."""
+
+    @staticmethod
+    def product(topo, path, dists):
+        expect = [1.0]
+        for node, child in zip(path, path[1:]):
+            expect.append(expect[-1] * dists[node][topo.children[node].index(child)])
+        return tuple(expect)
+
+    def test_receive_probs_after_the_segment_restart(self):
+        topo = build_uniform_tree(2, 2)
+
+        def make(node):
+            return AnytimeEpsilonExp3(2, depth=2, max_fanout=2, children_all_leaves=node != 0)
+
+        policies = {n: make(n) for n in topo.non_leaves}
+        sim = Simulation(topo, policies, BernoulliTreeEnv([0.9, 0.1, 0.6, 0.3]),
+                         FeedbackModel.END_TO_END_BANDIT, (5,))
+        sim.run(7)
+        for n in topo.non_leaves:
+            policies[n].theta = [0.0, -1.5 * n - 1.0]
+        before = {n: policies[n].distribution() for n in topo.non_leaves}
+        m, boundary = engine.anytime_segment(8)
+        assert boundary
+        restarted = {}
+        for n in topo.non_leaves:
+            restarted[n] = make(n)
+            restarted[n].start_segment(m)
+        out = sim.run_round(8)
+        assert out.receive_probs == self.product(topo, out.path, {
+            n: pol.distribution() for n, pol in restarted.items()})
+        assert out.receive_probs != self.product(topo, out.path, before)
+
+    @pytest.mark.parametrize("feedback", list(FeedbackModel))
+    def test_receive_probs_after_the_oracle_refresh(self, feedback):
+        # leaf 3's mean drops from 0.9 to 0 at round 12, which flips both
+        # node 1's and the root's preference
+        topo = build_uniform_tree(2, 2)
+        env = BernoulliTreeEnv([0.9, 0.6, 0.4, 0.2], shift_round=12)
+        forward = constant_forward_prob(0.3)
+        policies = {n: OraclePolicy(2, forward) for n in topo.non_leaves}
+        sim = Simulation(topo, policies, env, feedback, (9,))
+        sim.run(11)
+        before = {n: policies[n].distribution() for n in topo.non_leaves}
+        means = env.expected_costs(12)
+        ref = {n: OraclePolicy(2, forward) for n in topo.non_leaves}
+        ws = []
+        for node in topo.children[0]:
+            leaf_means = [means[topo.leaf_index(leaf)] for leaf in topo.children[node]]
+            ref[node].set_expected_costs(leaf_means)
+            ws.append(0.0)
+            for p, w in zip(ref[node].distribution(), leaf_means):
+                ws[-1] += p * w
+        ref[0].set_expected_costs(ws)
+        out = sim.run_round(12)
+        assert out.receive_probs == self.product(topo, out.path, {
+            n: pol.distribution() for n, pol in ref.items()})
+        assert out.receive_probs != self.product(topo, out.path, before)
+
+    def test_one_hop_path_follows_the_draws(self):
+        topo = build_uniform_tree(3, 2)
+        policies = uniform_tree_policies(topo, lambda k: NormalizedEG(k, 0.7))
+        drawn = {}
+        for node, pol in policies.items():
+            def select(rng, node=node, select=pol.select):
+                drawn[node] = select(rng)
+                return drawn[node]
+            pol.select = select
+        sim = Simulation(topo, policies, BernoulliTreeEnv(np.linspace(0.9, 0.1, 9)),
+                         FeedbackModel.COMPLETE_ONE_HOP, (8,))
+        paths = set()
+        for t in range(1, 31):
+            drawn.clear()
+            out = sim.run_round(t)
+            assert sorted(drawn) == list(topo.non_leaves)
+            path = [0]
+            while topo.children[path[-1]]:
+                path.append(topo.children[path[-1]][drawn[path[-1]].child])
+            assert out.path == tuple(path)
+            assert out.modes is None
+            paths.add(out.path)
+        assert len(paths) > 1
+
+
 class TestFeedbackIsolation:
     def test_only_path_nodes_update_in_bandit_mode(self):
         topo = build_uniform_tree(2, 3)

@@ -76,6 +76,11 @@ class TestBernoulliTreeEnv:
         with pytest.raises(EnvError, match="shift_leaf needs a shift_round"):
             BernoulliTreeEnv([0.5, 0.2], shift_leaf=9)
 
+    def test_nan_mean_rejected(self):
+        # a NaN mean would make its leaf always cost 0 and its expected cost NaN
+        with pytest.raises(EnvError, match=r"^Bernoulli means must lie in \[0,1\]$"):
+            BernoulliTreeEnv([math.nan, 0.5, 0.2, 0.3])
+
     def test_replay_determinism(self):
         env = BernoulliTreeEnv([1.0, 0.5, 0.4, 0.2], shift_round=30)
         a = [env.costs_block(t, 1, np.random.default_rng(99))[0] for t in range(1, 6)]
@@ -292,6 +297,19 @@ class TestDeadlineLatencyEnv:
         for rates, horizon in (((0.0, 5.0), 10), ((math.nan, 5.0), 10), ((1.0, 5.0), 0)):
             with pytest.raises(EnvError):
                 DeadlineLatencyEnv(topo, {1: rates}, {}, {}, horizon=horizon)
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf, 0.0, -1.0])
+    def test_deadline_must_be_positive_and_finite(self, deadline):
+        # a NaN deadline is never exceeded, so every cost would be the miss rate
+        topo = build_uniform_tree(2, 1)
+        with pytest.raises(EnvError, match=f"^deadline must be positive and finite, got {deadline}$"):
+            DeadlineLatencyEnv(topo, {1: (5.0, 5.0)}, {}, {}, deadline=deadline)
+
+    @pytest.mark.parametrize("proc", [math.nan, math.inf, -math.inf])
+    def test_processing_time_must_be_finite(self, proc):
+        topo = build_uniform_tree(2, 1)
+        with pytest.raises(EnvError, match=f"^processing time of leaf 2 must be finite, got {proc}$"):
+            DeadlineLatencyEnv(topo, {1: (5.0, 5.0)}, {1: 0.25, 2: proc}, {})
 
     def test_rates_interpolate_from_round_one_to_the_horizon(self):
         env = self._simple_env()

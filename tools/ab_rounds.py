@@ -3,15 +3,16 @@ working tree's, both loaded into one process.
 
 Usage: python tools/ab_rounds.py [REF] [--t T] [--reps N] [--scenarios A,B,...]
 
-REF (default HEAD) has its ``src/`` exported with ``git archive``, as
-``tools/byte_gate.py`` does. Both packages are imported into this process
-under the one name ``treebandit``, one after the other, each keeping its own
-modules. For every policy of every named scenario (a bundled scenario, or a
-config under ``perfbench/configs/``) the two sides then run ``run_one`` at
-horizon T in turn, N times, on seeds 0..N-1 and with the first side
-alternating, all in this process (so ``jobs=1``). Each line gives the best of
-the N CPU times per round on each side, their ratio, and whether the two
-sides' seed rows were equal on every seed.
+REF (default HEAD) has its ``src/`` exported with ``git archive`` by
+``tools/byte_gate.py``'s ``export_src``. Both packages are imported into
+this process under the one name ``treebandit``, one after the other, each
+keeping its own modules. For every policy of every named scenario (a
+bundled scenario, or a config under ``perfbench/configs/``) the two sides
+then run ``run_one`` at horizon T in turn, N times, on seeds 0..N-1 and with
+the first side alternating, all in this process (so ``jobs=1``). Each line
+gives the best of the N CPU times per round on each side, their ratio, and
+whether the two sides' seed rows were equal on every seed. The exit code is
+1 if any case's rows differ, else 0.
 
 Separate processes cannot resolve a change of a few percent where a shared
 host's speed drifts between processes by more than that. Alternating in one
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import subprocess
 import sys
 import tempfile
 import time
@@ -30,16 +30,10 @@ from dataclasses import astuple
 from pathlib import Path
 
 import yaml
+from byte_gate import export_src
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_SCENARIOS = "fig7-D4L4,fig10-multihop,oracle-chain-d3"
-
-
-def export_src(ref: str, dest: Path) -> Path:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"],
-                             capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return dest / "src"
 
 
 def load_harness(src: Path):
@@ -90,6 +84,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_rounds_") as tmp:
         sides = {args.ref: load_harness(export_src(args.ref, Path(tmp))),
                  "tree": load_harness(ROOT / "src")}
+    differ = False
     print(f"CPU µs per round at T={args.t}, best of {args.reps}: {args.ref} -> tree")
     for name in args.scenarios.split(","):
         raw = read_config(name)
@@ -104,10 +99,11 @@ def main(argv: list[str]) -> int:
                     best[side] = min(best[side], secs)
                     rows[side].append(row)
             ref_us, tree_us = (best[side] * 1e6 / args.t for side in sides)
-            same = "rows equal" if rows[args.ref] == rows["tree"] else "ROWS DIFFER"
-            print(f"{name} {label}: {ref_us:.2f} -> {tree_us:.2f} "
-                  f"({tree_us / ref_us:.3f}x), {same}")
-    return 0
+            equal = rows[args.ref] == rows["tree"]
+            differ = differ or not equal
+            print(f"{name} {label}: {ref_us:.2f} -> {tree_us:.2f} ({tree_us / ref_us:.3f}x), "
+                  + ("rows equal" if equal else "ROWS DIFFER"))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ Both sides then run the gate commands, once at the default ``--jobs`` and
 once at ``--jobs 1``:
 
   run <each bundled scenario> --t 1000,3162 --seeds 2
+  run <each perfbench/configs/*.yaml, by path> --t 1000,3162 --seeds 2
   trace fig8-transient
   trace fig8-transient --t 1000,3162 --seeds 2
 
@@ -33,6 +34,8 @@ SECONDS = re.compile(r"\d+\.\ds\]$")
 
 def gate_jobs() -> list[list[str]]:
     names = sorted(p.stem for p in (ROOT / "src" / "treebandit" / "scenarios").glob("*.yaml"))
+    # no bundled scenario runs one-hop feedback; eg-onehop-f4d2 does
+    names += sorted(str(p) for p in (ROOT / "perfbench" / "configs").glob("*.yaml"))
     return ([["run", name, *GRID] for name in names]
             + [["trace", "fig8-transient"], ["trace", "fig8-transient", *GRID]])
 

@@ -112,8 +112,9 @@ class BernoulliTreeEnv(CostEnvironment):
         return self._pre
 
 
-class LowerBoundChainEnv(CostEnvironment):
-    """Bernoulli means realizing the hard chain instance.
+class LowerBoundChainEnv(BernoulliTreeEnv):
+    """Bernoulli means realizing the hard chain instance, drawn as an
+    unshifted ``BernoulliTreeEnv`` with these fixed means.
 
     For a chain of ``depth`` non-leaf nodes the shallow leaves (positions
     0..depth-2) form a strictly increasing mean ladder
@@ -121,6 +122,7 @@ class LowerBoundChainEnv(CostEnvironment):
     ``(1 -/+ 2**depth * delta) / 2``; exactly one leaf (one of the deepest
     two) is best, and each shallow leaf beats everything visible below it
     until the deepest pair is resolved. ``delta`` defaults to ``2**-(depth+1)``.
+    ``means`` is the read-only array that ``expected_costs`` returns.
     """
 
     def __init__(self, depth: int, delta: float | None = None, best_last_leaf: bool = False) -> None:
@@ -136,20 +138,11 @@ class LowerBoundChainEnv(CostEnvironment):
         ladder = [(1.0 - (scale - 2.0**k) * delta) / 2.0 for k in range(depth - 1)]
         low = (1.0 - scale * delta) / 2.0
         high = (1.0 + scale * delta) / 2.0
-        deep = [high, low] if best_last_leaf else [low, high]
+        super().__init__(ladder + ([high, low] if best_last_leaf else [low, high]))
         self.depth = depth
         self.delta = delta
-        self.means = np.asarray(ladder + deep, dtype=np.float64)
-        self.means.flags.writeable = False
-        self.n_leaves = int(self.means.size)
+        self.means = self._pre
         self.min_expected_cost = low
-
-    def costs_block(self, t: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random((n, self.n_leaves))
-        return np.less(u, self.means, out=u)
-
-    def expected_costs(self, t: int) -> np.ndarray:
-        return self.means
 
 
 class DeadlineLatencyEnv(CostEnvironment):
@@ -205,13 +198,7 @@ class DeadlineLatencyEnv(CostEnvironment):
                 raise EnvError(f"processing time of leaf {leaf} must be finite, got {proc}")
             self._proc[k] = proc
             self._miss[k] = miss
-            path = []
-            node = leaf
-            while node != 0:
-                if node in edge_pos:
-                    path.append(edge_pos[node])
-                node = topology.parent[node]
-            self._paths.append(path[::-1])
+            self._paths.append([edge_pos[n] for n in topology.path_to(leaf) if n in edge_pos])
 
     def _rates(self, t: int, n: int) -> np.ndarray:
         """Rows ``i = 0..n-1`` hold every stochastic edge's rate at round ``t + i``;
@@ -251,12 +238,20 @@ def hypoexponential_survival(budget: float, rates) -> float:
     exp(-L h) sum_n (L h)**n / n! (I + M / L)**n, with no negative term, for L
     the largest rate and h = budget / 2**s <= 1 / L. It is squared s times,
     each time resetting the diagonal to exp(-rate * t) so errors do not double.
+    An infinite budget gives 0; a NaN budget, or a rate that is not finite and
+    positive, raises ``EnvError``.
     """
+    # each check is written so that a NaN, which fails every comparison, fails it
+    if not budget <= math.inf:
+        raise EnvError(f"budget must be a number, got {budget}")
+    rates = np.asarray(rates, dtype=float)
+    for rate in rates.tolist():
+        if not 0.0 < rate < math.inf:
+            raise EnvError(f"rates must be finite and positive, got {rate}")
     if budget <= 0.0:
         return 1.0
-    if len(rates) == 0:
+    if budget == math.inf or rates.size == 0:
         return 0.0
-    rates = np.asarray(rates, dtype=float)
     top = rates.max()
     s = max(0, math.ceil(math.log2(top) + math.log2(budget)))  # no overflow
     step = math.ldexp(budget, -s)

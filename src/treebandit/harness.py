@@ -452,7 +452,7 @@ def _read_policy(
         if scale is not None and eta not in ("shift_matched", None):
             r.fail("eta_scale", "applies only with eta: shift_matched")
         if eta == "shift_matched" and T is not None:
-            shift = getattr(env, "shift_round", None)  # only BernoulliTreeEnv has one
+            shift = getattr(env, "shift_round", None)  # set on a shifted BernoulliTreeEnv
             if shift is None:
                 r.fail("eta", "shift_matched needs an environment with a cost shift")
             else:
@@ -467,13 +467,9 @@ def _read_policy(
     elif name == "stationary":
         leaf = r.get("leaf", lambda v: topology is None or (_is_int(v) and v in topology.leaves),
                      "must be a leaf of the topology")
-        pins: dict[int, int] = {}  # route node -> position of the child toward leaf
-        if r.ok and topology is not None:
-            cur = leaf
-            while cur != 0:
-                up = topology.parent[cur]
-                pins[up] = topology.child_index(up, cur)
-                cur = up
+        path = topology.path_to(leaf) if r.ok and topology is not None else ()
+        # route node -> position of the child toward leaf
+        pins = {up: topology.child_index(up, down) for up, down in zip(path, path[1:])}
 
         def make(node, K):
             # Nodes off the root-to-leaf route never receive the job, so

@@ -281,10 +281,7 @@ class EpsilonExp3(_SoftmaxPolicy):
 
     def select(self, rng) -> ModeDraw:
         if rng.random() < self.mix:
-            child = int(rng.random() * self.n_children)
-            if child == self.n_children:  # guard the measure-zero edge
-                child -= 1
-            return self._uniform_draws[child]
+            return self._uniform_draws[int(rng.random() * self.n_children)]
         # the softmax's CDF, inline: a shared scan would cost a call per visit
         u = rng.random()
         acc = 0.0
@@ -417,10 +414,7 @@ class UniformRandomPolicy(_FixedPolicy):
         self._dist = [1.0 / n_children] * n_children
 
     def select(self, rng) -> ModeDraw:
-        child = int(rng.random() * self.n_children)
-        if child == self.n_children:
-            child -= 1
-        return self._draws[child]
+        return self._draws[int(rng.random() * self.n_children)]
 
 
 def constant_forward_prob(q: float) -> Callable[[float], float]:

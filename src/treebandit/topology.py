@@ -104,6 +104,15 @@ class TreeTopology:
             raise TopologyError(f"({node},{child}) is not an edge")
         return self.children[node].index(child)
 
+    def path_to(self, node: int) -> tuple[int, ...]:
+        """Node ids from the root down to ``node``, both included: the route
+        a job takes to reach ``node``."""
+        self._check(node)
+        path = [node]
+        while path[-1] != 0:
+            path.append(self.parent[path[-1]])
+        return tuple(reversed(path))
+
     def _check(self, node: int) -> None:
         if not (0 <= node < self.node_count):
             raise TopologyError(f"unknown node id {node}")

@@ -255,6 +255,19 @@ def test_validate_applies_overrides_before_checking(tiny_config, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("topology, env", [
+    ("{kind: chain, depth: 3}", "{kind: lower_bound_chain}"),
+    ("{kind: uniform, fanout: 2, depth: 2}", "{kind: bernoulli_tree, p_min: 0.2}"),
+], ids=["lower_bound_chain", "unshifted_bernoulli_tree"])
+def test_validate_rejects_shift_matched_eta_without_a_cost_shift(topology, env, tmp_path, capsys):
+    path = tmp_path / "noshift.yaml"
+    path.write_text(f"scenario: noshift\ntopology: {topology}\nenv: {env}\nhorizons: [10]\n"
+                    "policies: [{name: exp3, eta: shift_matched}]\n")
+    assert main(["validate", str(path)]) == 1
+    assert one_error_line(capsys) == (
+        "error: policies[0].eta: shift_matched needs an environment with a cost shift")
+
+
 # --------------------------------------------------------------------------
 # run / trace
 

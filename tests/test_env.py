@@ -137,6 +137,15 @@ class TestLowerBoundChainEnv:
         with pytest.raises(EnvError):
             LowerBoundChainEnv(1, 0.1)
 
+    def test_drawn_as_an_unshifted_bernoulli_env(self):
+        env = LowerBoundChainEnv(3)
+        assert isinstance(env, BernoulliTreeEnv) and env.shift_round is None
+        assert env.expected_costs(1) is env.means and env.expected_costs(99) is env.means
+        assert not env.means.flags.writeable
+        # the chain's own draw before it became a subclass: one comparison per block
+        want = (np.random.default_rng(3).random((50, 4)) < env.means).astype(np.float64)
+        assert np.array_equal(env.costs_block(7, 50, np.random.default_rng(3)), want)
+
     def test_costs_match_means(self):
         env = LowerBoundChainEnv(2, 0.125)
         n = 100_000
@@ -186,6 +195,20 @@ class TestHypoexponentialSurvival:
         assert hypoexponential_survival(0.0, [1.0]) == 1.0
         assert hypoexponential_survival(-0.5, [1.0]) == 1.0
         assert hypoexponential_survival(2.0, []) == 0.0
+
+    def test_infinite_budget_is_never_exceeded(self):
+        assert hypoexponential_survival(math.inf, [2.0]) == 0.0
+        assert hypoexponential_survival(math.inf, [1e-300, 1e300]) == 0.0
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(EnvError, match="budget must be a number, got nan"):
+            hypoexponential_survival(math.nan, [2.0])
+
+    @pytest.mark.parametrize("rate", [math.inf, 0.0, -1.0, math.nan])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        for budget in (1.0, 0.0, math.inf):
+            with pytest.raises(EnvError, match=f"finite and positive, got {rate}"):
+                hypoexponential_survival(budget, [2.0, rate])
 
     def test_near_instant_delay_adds_nothing(self):
         # validate accepts any finite rate; expm of this generator overflowed to NaN

@@ -366,6 +366,20 @@ class TestSimplePolicies:
         assert np.all(np.abs(counts / 40_000 - 0.25) < 0.02)
 
 
+class _LastDraw:
+    """A stub rng whose every draw is the largest float below 1."""
+
+    def random(self):
+        return float(np.nextafter(1.0, 0.0))
+
+
+def test_uniform_draw_at_the_top_of_the_unit_interval_picks_the_last_child():
+    for K in range(2, 65):
+        assert UniformRandomPolicy(K).select(_LastDraw()).child == K - 1
+        draw = EpsilonExp3(K, 0.5, 1.0).select(_LastDraw())  # epsilon 1: always uniform mode
+        assert (draw.mode, draw.child) == ("U", K - 1)
+
+
 def oracle_picks(forward_prob_fn, expected_child_costs, n, seed):
     """How often an oracle told these expected costs forwards to child 1."""
     pol = OraclePolicy(2, forward_prob_fn)

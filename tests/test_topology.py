@@ -96,7 +96,7 @@ class TestQueries:
 
     def test_unknown_id(self):
         t = build_uniform_tree(2, 2)
-        for query in (t.is_leaf, t.children_all_leaves):
+        for query in (t.is_leaf, t.children_all_leaves, t.path_to):
             with pytest.raises(TopologyError):
                 query(7)
 
@@ -142,6 +142,23 @@ def test_leaf_pos_is_each_leafs_position_and_minus_one_elsewhere(tree):
     pos = {leaf: k for k, leaf in enumerate(tree.leaves)}
     assert tree.leaf_pos == tuple(pos.get(node, -1) for node in range(tree.node_count))
     assert all(tree.leaf_index(leaf) == k for leaf, k in pos.items())
+
+
+def test_path_to_runs_from_the_root_down_to_the_node():
+    uniform = build_uniform_tree(2, 2)
+    assert [uniform.path_to(n) for n in (0, 1, 3, 5, 6)] == [
+        (0,), (0, 1), (0, 1, 3), (0, 2, 5), (0, 2, 6)]
+    chain = build_chain_tree(3)  # node i's children: (leaf, next node); last: two leaves
+    assert [chain.path_to(n) for n in (3, 4, 2, 5, 6)] == [
+        (0, 3), (0, 1, 4), (0, 1, 2), (0, 1, 2, 5), (0, 1, 2, 6)]
+    ragged = TreeTopology(((3, 1), (), (5, 4), (2,), (), ()))  # ids out of order
+    assert [ragged.path_to(n) for n in (0, 1, 3, 2, 4, 5)] == [
+        (0,), (0, 1), (0, 3), (0, 3, 2), (0, 3, 2, 4), (0, 3, 2, 5)]
+    for tree in (uniform, chain, ragged):
+        for node in range(tree.node_count):
+            path = tree.path_to(node)
+            assert len(path) == tree.depth_of[node] + 1
+            assert all(down in tree.children[up] for up, down in zip(path, path[1:]))
 
 
 class TestAdjacencyParsing:

@@ -33,7 +33,7 @@ import yaml
 from byte_gate import export_src
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_SCENARIOS = "fig7-D4L4,fig10-multihop,oracle-chain-d3"
+DEFAULT_SCENARIOS = "fig7-D4L4,fig10-multihop,oracle-chain-d3,eg-onehop-f4d2"
 
 
 def load_harness(src: Path):

@@ -32,8 +32,18 @@ receive probabilities from a one-round trace of every edge.
 Randomness comes from one environment stream and one stream per non-leaf,
 each keyed by the run's entropy (``rng_streams``). The PCG64 seed states of
 all non-leaves are computed at once per replication by a copy of numpy's
-SeedSequence hash, which the tests pin to numpy's; a node's generator is
-built from its state at the node's first visit.
+SeedSequence hash, which the tests pin to numpy's; on the Python route a
+node's generator is built from its state at the node's first visit, and the
+compiled round builds every non-leaf's generator when its run starts.
+
+The compiled round (``_round.c``, built and loaded by ``_round.load``) runs
+``run``'s untraced bandit rounds when every non-leaf is exactly an
+``EpsilonExp3`` or an ``Exp3Baseline``: one C call per block, on the same
+environment block and range check, the same node draws and the same floats
+in the same order, so the outputs are the same bytes. ``run_round``, traced
+runs, one-hop feedback, any other policy, and a run whose library cannot be
+built take the Python route, which is the reference; once it has run, a
+``Simulation`` keeps it, since its node streams hold buffered floats.
 
 Policies that require expected costs (the oracle) get them from one
 recursion of w from the root over the start-of-round distributions, run
@@ -46,12 +56,21 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
+from treebandit import _round
 from treebandit.env import CostEnvironment
-from treebandit.policy import FeedbackModel, ModeDraw, NodePolicy, anytime_segment
+from treebandit.policy import (
+    PROB_FLOOR,
+    EpsilonExp3,
+    Exp3Baseline,
+    FeedbackModel,
+    ModeDraw,
+    NodePolicy,
+    anytime_segment,
+)
 from treebandit.topology import TreeTopology
 
 
@@ -153,6 +172,8 @@ class TraceRecorder:
 BLOCK_ELEMENTS = 16384
 NODE_BUFFER_FIRST = 8
 NODE_BUFFER_CAP = 256
+# the learners the compiled round runs, and each one's kind there (_round.c)
+_COMPILED_KINDS = {EpsilonExp3: 1, Exp3Baseline: 2}
 
 
 def _words(ints) -> list[int]:
@@ -251,14 +272,15 @@ def _seed_state_type() -> type:
 
 def _node_generator(state: np.ndarray) -> np.random.Generator:
     """The Generator of ``PCG64`` seeded with ``state``. Every node stream is
-    seeded here, at its first draw; tests patch it to record the states."""
+    seeded here, at its first draw or when a compiled run starts; tests patch
+    it to record the states."""
     return np.random.Generator(np.random.PCG64(_seed_state_type()(state)))
 
 
-def _float_buffers(state: np.ndarray):
+def _float_buffers(generator):
     """Lists of the floats that successive ``random()`` calls of the node's
-    Generator return; the generator is built when the first list is asked for."""
-    gen = _node_generator(state)
+    Generator return; ``generator()`` is called when the first list is asked for."""
+    gen = generator()
     size = NODE_BUFFER_FIRST
     while True:
         yield gen.random(size).tolist()
@@ -268,14 +290,25 @@ def _float_buffers(state: np.ndarray):
 class NodeStream:
     """A node's random stream: ``random()`` returns the next float of the
     Generator of ``PCG64`` seeded with ``state`` (a row of ``_seed_states``),
-    as a Python float. The generator is built at the first call, so a node
-    no job reaches costs no generator. ``random`` is the C-level ``__next__``
-    of a chain over the buffers, so a draw resumes no Python frame."""
+    as a Python float. ``generator()`` returns that Generator, built at its
+    first call, which ``random()`` makes at its first draw, so a node no job
+    reaches costs no generator. ``random`` is the C-level ``__next__`` of a
+    chain over the buffers, so a draw resumes no Python frame. The compiled
+    round draws from ``generator()`` directly, which is coherent only while
+    ``random()`` has buffered nothing: the engine then keeps its Python route."""
 
-    __slots__ = ("random",)
+    __slots__ = ("random", "generator")
 
     def __init__(self, state: np.ndarray) -> None:
-        self.random = chain.from_iterable(_float_buffers(state)).__next__
+        built = []  # the generator, once built; a closure, so the stream holds no cycle
+
+        def generator() -> np.random.Generator:
+            if not built:
+                built.append(_node_generator(state))
+            return built[0]
+
+        self.generator = generator
+        self.random = chain.from_iterable(_float_buffers(generator)).__next__
 
 
 def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, list]:
@@ -286,7 +319,8 @@ def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, l
     The env stream is ``default_rng`` of the key's words. The seed states of
     all node streams are computed here at once by ``_seed_states``, a copy of
     SeedSequence's hash that the tests pin to numpy's; each node's generator
-    is built from its state at the node's first draw.
+    is built from its state at the node's first draw, or for every node when
+    a compiled run starts.
     """
     base = _words(entropy)
     env_rng = np.random.default_rng(base + [0])
@@ -302,7 +336,9 @@ class Simulation:
     Rounds run a block at a time: the environment draws the costs of up to
     ``BLOCK_ELEMENTS // n_leaves`` rounds in one call, the range check and
     the regret ledger take the whole block, and each round of the block is
-    routed from its row. ``run_round`` runs a one-round block.
+    routed from its row. ``run_round`` runs a one-round block. ``run`` hands
+    the routing of untraced bandit blocks to the compiled round where it
+    applies (``_run_compiled``).
     """
 
     def __init__(
@@ -360,6 +396,10 @@ class Simulation:
             self._leaf_slots = np.array([slot[n] for n in topology.leaves], dtype=np.intp)
         self._drawn: list = [None] * topology.node_count  # each non-leaf's latest draw
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
+        # run() hands untraced rounds to the compiled round while this holds;
+        # the Python route clears it, since its node streams then hold buffered floats
+        self._compilable = feedback is FeedbackModel.END_TO_END_BANDIT and all(
+            type(policies[n]) in _COMPILED_KINDS for n in topology.non_leaves)
 
     # -- per-round machinery -------------------------------------------------
 
@@ -436,6 +476,7 @@ class Simulation:
     def _run_block(self, t0: int, n: int, trace=None, watch_idx=()) -> float:
         """Run rounds t0..t0+n-1 on one block of environment costs; returns
         the last round's realized cost."""
+        self._compilable = False
         block = self._draw_block(t0, n)
         route, rows = self._bandit_round, block
         if self.feedback is FeedbackModel.COMPLETE_ONE_HOP:
@@ -488,9 +529,14 @@ class Simulation:
         return RoundOutcome(tuple(path), realized, tuple(probs), modes)
 
     def run(self, T: int, trace: TraceRecorder | None = None) -> RegretLedger:
-        """Execute rounds 1..T; optionally record windowed probability traces."""
+        """Execute rounds 1..T; optionally record windowed probability traces.
+        Untraced rounds take the compiled round when it applies and loads."""
         if T < 0:
             raise EngineError(f"horizon must be >= 0, got {T}")
+        if trace is None and self._compilable:
+            kernel, _ = _round.load()
+            if kernel is not None:
+                return self._run_compiled(kernel, T)
         watch_idx = [(node, self.topology.child_index(node, child))
                      for node, child in (trace.watched if trace is not None else ())]
         t = 1
@@ -499,3 +545,62 @@ class Simulation:
             self._run_block(t, n, trace, watch_idx)
             t += n
         return self.ledger
+
+    def _run_compiled(self, kernel, T: int) -> RegretLedger:
+        """``run(T)`` through ``_round.c``: every non-leaf's generator, scores,
+        softmax and parameters are packed into flat arrays, the kernel runs each
+        block's rows after ``_draw_block`` and its range check, and the scores,
+        softmax entries, draws and ledger totals are written back at the end,
+        or before the update that fails, which is then made in Python to raise
+        its own error."""
+        nodes = self.topology.non_leaves
+        count = self.topology.node_count
+        pols = self._pols
+        first = [0, *accumulate(map(len, self._children))]
+        kind = [0] * count
+        param = [(0.0, 0.0, 0.0, 0.0)] * count
+        gen = [0] * count
+        for n in nodes:
+            pol = pols[n]
+            kind[n] = _COMPILED_KINDS[type(pol)]
+            param[n] = pol.eta, pol._floor, pol._scale, pol.mix
+            gen[n] = _round.bitgen_address(self._node_rngs[n].generator())
+        theta = np.array([x for n in nodes for x in pols[n]._theta])
+        soft = np.array([x for n in nodes for x in pols[n]._soft])
+        drawn = np.full(count, -1, dtype=np.intc)
+        ledger = self.ledger
+        totals = np.concatenate(([ledger.cumulative_algorithm_cost], ledger.cumulative_leaf_costs))
+        fault = np.zeros(2)
+        held = [np.array(kind, dtype=np.intc), np.array(first, dtype=np.intc),
+                np.fromiter(chain.from_iterable(self._children), dtype=np.intc),
+                np.array(self._leaf_pos, dtype=np.intc), np.array(param),
+                np.array(gen, dtype=np.uintp), theta, soft, drawn, totals]
+        arrays = [a.ctypes.data for a in held]  # addresses only: held keeps the arrays
+        failed, t = -1, 1
+        try:
+            while t <= T and failed < 0:
+                n = min(self._block_rounds, T - t + 1)
+                block = np.ascontiguousarray(self._draw_block(t, n), dtype=np.float64)
+                if block.shape != (n, self.env.n_leaves):  # the kernel reads n full rows
+                    raise EngineError(f"environment returned a cost block of shape "
+                                      f"{block.shape}, not {(n, self.env.n_leaves)}")
+                failed = kernel(n, block.shape[1], block.ctypes.data, *arrays, PROB_FLOOR,
+                                fault.ctypes.data)
+                if failed < 0:
+                    ledger.rounds_elapsed += n
+                t += n
+        finally:  # a range error in _draw_block leaves the blocks before it, as in Python
+            theta, soft, drawn = theta.tolist(), soft.tolist(), drawn.tolist()
+            for n in nodes:
+                pol, code = pols[n], drawn[n]
+                pol._theta = theta[first[n]:first[n + 1]]
+                pol._soft = soft[first[n]:first[n + 1]]
+                if code >= 0:
+                    self._drawn[n] = (pol._uniform_draws if code % 2 else pol._draws)[code // 2]
+            ledger.cumulative_algorithm_cost = float(totals[0])
+            ledger.cumulative_leaf_costs = totals[1:].copy()
+        if failed >= 0:
+            pols[failed].update(self._drawn[failed], *fault.tolist())
+            raise EngineError(f"the compiled round stopped at node {failed}, "
+                              "whose update in Python did not fail")
+        return ledger

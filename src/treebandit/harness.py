@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
+from treebandit import _round
 from treebandit.engine import FeedbackModel, Simulation, TraceRecorder
 from treebandit.env import (
     BernoulliTreeEnv,
@@ -709,6 +710,8 @@ def run_experiment(
 
     tasks = [(b, seed) for b in range(len(blocks)) for seed in range(config.seeds)]
     workers = min(workers, len(tasks))
+    if workers > 1:
+        _round.load()  # built or loaded once here, so that the forked children inherit it
     outcomes, dead = (_run_forked(run, _deal(tasks, workers, lambda task: blocks[task[0]][1]))
                       if workers > 1 else (None, ""))
     results = ExperimentResults()

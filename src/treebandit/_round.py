@@ -17,6 +17,10 @@ import os
 import tempfile
 from pathlib import Path
 
+from treebandit.policy import EpsilonExp3, Exp3Baseline
+
+# the learners the compiled round runs, each as its kind in _round.c's enum
+KINDS = {EpsilonExp3: 1, Exp3Baseline: 2}
 SOURCE = Path(__file__).with_name("_round.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 

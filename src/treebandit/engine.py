@@ -8,7 +8,7 @@ ledger, so regret is measured on the sample path the algorithm actually saw.
 Draws are fetched a block of rounds at a time, which changes no value: a
 block of draws from a numpy Generator equals the same draws made one call
 at a time, and the ledger adds the block's rows in round order (numpy's
-reduce down the rows of a block, whose order a test pins).
+reduce down the rows of one matrix, whose order a test pins).
 
 Two feedback models:
 
@@ -36,14 +36,16 @@ SeedSequence hash, which the tests pin to numpy's; on the Python route a
 node's generator is built from its state at the node's first visit, and the
 compiled round builds every non-leaf's generator when its run starts.
 
-The compiled round (``_round.c``, built and loaded by ``_round.load``) runs
-``run``'s untraced bandit rounds when every non-leaf is exactly an
-``EpsilonExp3`` or an ``Exp3Baseline``: one C call per block, on the same
-environment block and range check, the same node draws and the same floats
-in the same order, so the outputs are the same bytes. ``run_round``, traced
-runs, one-hop feedback, any other policy, and a run whose library cannot be
-built take the Python route, which is the reference; once it has run, a
-``Simulation`` keeps it, since its node streams hold buffered floats.
+``run`` walks the blocks in one loop, and each block, drawn and checked by
+``_draw_block``, is run either by the compiled round (``_round.c``, built and
+loaded by ``_round.load``) or row by row on the Python route. The compiled
+round takes untraced bandit blocks when every non-leaf is exactly an
+``EpsilonExp3`` or an ``Exp3Baseline``: one C call per block, with the same
+node draws and the same floats in the same order, so the outputs are the same
+bytes. ``run_round``, traced runs, one-hop feedback, any other policy, and a
+run whose library cannot be built take the Python route, which is the
+reference; once it has run, a ``Simulation`` keeps it, since its node streams
+hold buffered floats.
 
 Policies that require expected costs (the oracle) get them from one
 recursion of w from the root over the start-of-round distributions, run
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -64,8 +66,6 @@ from treebandit import _round
 from treebandit.env import CostEnvironment
 from treebandit.policy import (
     PROB_FLOOR,
-    EpsilonExp3,
-    Exp3Baseline,
     FeedbackModel,
     ModeDraw,
     NodePolicy,
@@ -106,24 +106,22 @@ class RegretLedger:
         """Add a block of rounds: ``realized_costs[i]`` and row ``i`` of
         ``leaf_costs`` belong to the same round.
 
-        Both totals are summed round by round, in order, so they hold the
-        same floats whatever the block size. Adding ``leaf_costs.sum(axis=0)``
-        to the running total would not: deadline costs are not integers.
-        The leaf totals are the running total stacked on the block and reduced
-        down the rows: with two or more columns numpy adds the rows in order,
-        but a single column it sums pairwise, so that one is accumulated.
+        The totals are summed round by round, in order, so they hold the same
+        floats whatever the block size. Adding ``leaf_costs.sum(axis=0)`` to
+        the running total would not: deadline costs are not integers. They are
+        one matrix, laid out like the compiled round's totals, reduced down its
+        rows: the running totals (algorithm cost, then each leaf's) on top of
+        one row per round (realized cost, then the leaf costs). With two or
+        more columns, which it always has, numpy's reduce adds the rows in order.
         """
-        total = self.cumulative_algorithm_cost
-        for cost in realized_costs:
-            total += cost
-        self.cumulative_algorithm_cost = total
-        running = np.empty((len(leaf_costs) + 1, self.cumulative_leaf_costs.size))
-        running[0] = self.cumulative_leaf_costs
-        running[1:] = leaf_costs
-        if running.shape[1] > 1:
-            self.cumulative_leaf_costs = np.add.reduce(running, axis=0)
-        else:
-            self.cumulative_leaf_costs = np.add.accumulate(running, axis=0)[-1]
+        rows = np.empty((len(leaf_costs) + 1, self.cumulative_leaf_costs.size + 1))
+        rows[0, 0] = self.cumulative_algorithm_cost
+        rows[0, 1:] = self.cumulative_leaf_costs
+        rows[1:, 0] = realized_costs
+        rows[1:, 1:] = leaf_costs
+        totals = np.add.reduce(rows, axis=0)
+        self.cumulative_algorithm_cost = float(totals[0])
+        self.cumulative_leaf_costs = totals[1:]
         self.rounds_elapsed += len(leaf_costs)
 
     def optimal_stationary_cost(self) -> float:
@@ -172,8 +170,6 @@ class TraceRecorder:
 BLOCK_ELEMENTS = 16384
 NODE_BUFFER_FIRST = 8
 NODE_BUFFER_CAP = 256
-# the learners the compiled round runs, and each one's kind there (_round.c)
-_COMPILED_KINDS = {EpsilonExp3: 1, Exp3Baseline: 2}
 
 
 def _words(ints) -> list[int]:
@@ -334,11 +330,10 @@ class Simulation:
     """One seeded run: topology + per-node policies + environment + model.
 
     Rounds run a block at a time: the environment draws the costs of up to
-    ``BLOCK_ELEMENTS // n_leaves`` rounds in one call, the range check and
+    ``BLOCK_ELEMENTS // n_leaves`` rounds in one call, the block check and
     the regret ledger take the whole block, and each round of the block is
-    routed from its row. ``run_round`` runs a one-round block. ``run`` hands
-    the routing of untraced bandit blocks to the compiled round where it
-    applies (``_run_compiled``).
+    routed from its row, by the compiled round or on the Python route
+    (``run``). ``run_round`` runs a one-round block on the Python route.
     """
 
     def __init__(
@@ -383,13 +378,11 @@ class Simulation:
         self._all_fixed = all(policies[n].fixed for n in topology.non_leaves)
         self._refreshed = None  # the expected costs of a refresh that still holds
         if feedback is FeedbackModel.COMPLETE_ONE_HOP:
-            # node n's children hold slots first[n]..first[n+1]-1; the root, the last
-            slot = [topology.node_count - 1] * topology.node_count
-            first = [0]
-            for kids in topology.children:
-                for s, c in enumerate(kids, first[-1]):
-                    slot[c] = s
-                first.append(first[-1] + len(kids))
+            # a slot per node: the children at their first_slot slots, the root the last
+            first = topology.first_slot
+            slot = {c: s for n, kids in enumerate(topology.children)
+                    for s, c in enumerate(kids, first[n])}
+            slot[0] = first[-1]
             self._slots_deep_first = tuple(
                 (n, first[n], first[n + 1], slot[n])
                 for n in sorted(topology.non_leaves, key=lambda n: -topology.depth_of[n]))
@@ -399,12 +392,18 @@ class Simulation:
         # run() hands untraced rounds to the compiled round while this holds;
         # the Python route clears it, since its node streams then hold buffered floats
         self._compilable = feedback is FeedbackModel.END_TO_END_BANDIT and all(
-            type(policies[n]) in _COMPILED_KINDS for n in topology.non_leaves)
+            type(policies[n]) in _round.KINDS for n in topology.non_leaves)
 
     # -- per-round machinery -------------------------------------------------
 
     def _draw_block(self, t: int, n: int) -> np.ndarray:
-        block = self.env.costs_block(t, n, self.env_rng)
+        """The costs of rounds t..t+n-1, the block both routes run: n rows of
+        one cost per leaf, each in [0, 1], as the contiguous float64 rows that
+        the compiled round reads."""
+        block = np.ascontiguousarray(self.env.costs_block(t, n, self.env_rng), dtype=np.float64)
+        if block.shape != (n, self.env.n_leaves):
+            raise EngineError(f"environment returned a cost block of shape "
+                              f"{block.shape}, not {(n, self.env.n_leaves)}")
         # written so that a NaN, which fails every comparison, fails the check
         if not (block.min() >= 0.0 and block.max() <= 1.0):
             bad = ~((block >= 0.0) & (block <= 1.0)).all(axis=1)
@@ -473,11 +472,11 @@ class Simulation:
             pols[node].observe_all(y[first:end])
         return y[-1]
 
-    def _run_block(self, t0: int, n: int, trace=None, watch_idx=()) -> float:
-        """Run rounds t0..t0+n-1 on one block of environment costs; returns
-        the last round's realized cost."""
+    def _run_rows(self, t0: int, block: np.ndarray, trace=None, watch_idx=()) -> float:
+        """Run rounds t0, t0+1, ... on the Python route, one per row of
+        ``block``; returns the last round's realized cost."""
         self._compilable = False
-        block = self._draw_block(t0, n)
+        n = len(block)
         route, rows = self._bandit_round, block
         if self.feedback is FeedbackModel.COMPLETE_ONE_HOP:
             # a slot per node; _complete_round writes the non-leaves' slots
@@ -516,7 +515,7 @@ class Simulation:
         edges = [(node, j) for node in self.topology.non_leaves
                  for j in range(len(children[node]))]
         trace = TraceRecorder(1, tuple((node, children[node][j]) for node, j in edges))
-        realized = self._run_block(t, 1, trace, edges)
+        realized = self._run_rows(t, self._draw_block(t, 1), trace, edges)
         start = {(node, child): p for _, node, child, p in trace.rows}
         path, probs = [0], [1.0]
         while children[path[-1]]:
@@ -530,75 +529,64 @@ class Simulation:
 
     def run(self, T: int, trace: TraceRecorder | None = None) -> RegretLedger:
         """Execute rounds 1..T; optionally record windowed probability traces.
-        Untraced rounds take the compiled round when it applies and loads."""
+
+        One loop walks the blocks. Each is one call of the compiled round when
+        the run is untraced, ``_compilable`` holds and the library loads, else
+        the Python rows. The compiled round works on flat arrays, packed before
+        the loop: each non-leaf's kind, parameters and generator, and its
+        children's ids, scores and softmax entries at their ``first_slot``
+        slots. After the loop the scores, softmax entries, draws and ledger
+        totals are written back, also when a block fails its check; an update
+        that fails in C is then made in Python, to raise its own error.
+        """
         if T < 0:
             raise EngineError(f"horizon must be >= 0, got {T}")
-        if trace is None and self._compilable:
-            kernel, _ = _round.load()
-            if kernel is not None:
-                return self._run_compiled(kernel, T)
+        kernel = _round.load()[0] if trace is None and self._compilable else None
         watch_idx = [(node, self.topology.child_index(node, child))
                      for node, child in (trace.watched if trace is not None else ())]
-        t = 1
-        while t <= T:
-            n = min(self._block_rounds, T - t + 1)
-            self._run_block(t, n, trace, watch_idx)
-            t += n
-        return self.ledger
-
-    def _run_compiled(self, kernel, T: int) -> RegretLedger:
-        """``run(T)`` through ``_round.c``: every non-leaf's generator, scores,
-        softmax and parameters are packed into flat arrays, the kernel runs each
-        block's rows after ``_draw_block`` and its range check, and the scores,
-        softmax entries, draws and ledger totals are written back at the end,
-        or before the update that fails, which is then made in Python to raise
-        its own error."""
-        nodes = self.topology.non_leaves
-        count = self.topology.node_count
-        pols = self._pols
-        first = [0, *accumulate(map(len, self._children))]
-        kind = [0] * count
-        param = [(0.0, 0.0, 0.0, 0.0)] * count
-        gen = [0] * count
-        for n in nodes:
-            pol = pols[n]
-            kind[n] = _COMPILED_KINDS[type(pol)]
-            param[n] = pol.eta, pol._floor, pol._scale, pol.mix
-            gen[n] = _round.bitgen_address(self._node_rngs[n].generator())
-        theta = np.array([x for n in nodes for x in pols[n]._theta])
-        soft = np.array([x for n in nodes for x in pols[n]._soft])
-        drawn = np.full(count, -1, dtype=np.intc)
-        ledger = self.ledger
-        totals = np.concatenate(([ledger.cumulative_algorithm_cost], ledger.cumulative_leaf_costs))
-        fault = np.zeros(2)
-        held = [np.array(kind, dtype=np.intc), np.array(first, dtype=np.intc),
-                np.fromiter(chain.from_iterable(self._children), dtype=np.intc),
-                np.array(self._leaf_pos, dtype=np.intc), np.array(param),
-                np.array(gen, dtype=np.uintp), theta, soft, drawn, totals]
-        arrays = [a.ctypes.data for a in held]  # addresses only: held keeps the arrays
+        nodes, first = self.topology.non_leaves, self.topology.first_slot
+        pols, ledger = self._pols, self.ledger
+        if kernel is not None:
+            count = self.topology.node_count
+            kind, param, gen = [0] * count, [(0.0, 0.0, 0.0, 0.0)] * count, [0] * count
+            for n in nodes:
+                pol = pols[n]
+                kind[n] = _round.KINDS[type(pol)]
+                param[n] = pol.eta, pol._floor, pol._scale, pol.mix
+                gen[n] = _round.bitgen_address(self._node_rngs[n].generator())
+            theta = np.array([x for n in nodes for x in pols[n]._theta])
+            soft = np.array([x for n in nodes for x in pols[n]._soft])
+            drawn = np.full(count, -1, dtype=np.intc)
+            totals = np.concatenate(([ledger.cumulative_algorithm_cost],
+                                     ledger.cumulative_leaf_costs))
+            fault = np.zeros(2)
+            held = [np.array(kind, dtype=np.intc), np.array(first, dtype=np.intc),
+                    np.fromiter(chain.from_iterable(self._children), dtype=np.intc),
+                    np.array(self._leaf_pos, dtype=np.intc), np.array(param),
+                    np.array(gen, dtype=np.uintp), theta, soft, drawn, totals]
+            arrays = [a.ctypes.data for a in held]  # addresses only: held keeps the arrays
         failed, t = -1, 1
         try:
             while t <= T and failed < 0:
-                n = min(self._block_rounds, T - t + 1)
-                block = np.ascontiguousarray(self._draw_block(t, n), dtype=np.float64)
-                if block.shape != (n, self.env.n_leaves):  # the kernel reads n full rows
-                    raise EngineError(f"environment returned a cost block of shape "
-                                      f"{block.shape}, not {(n, self.env.n_leaves)}")
-                failed = kernel(n, block.shape[1], block.ctypes.data, *arrays, PROB_FLOOR,
-                                fault.ctypes.data)
-                if failed < 0:
-                    ledger.rounds_elapsed += n
-                t += n
-        finally:  # a range error in _draw_block leaves the blocks before it, as in Python
-            theta, soft, drawn = theta.tolist(), soft.tolist(), drawn.tolist()
-            for n in nodes:
-                pol, code = pols[n], drawn[n]
-                pol._theta = theta[first[n]:first[n + 1]]
-                pol._soft = soft[first[n]:first[n + 1]]
-                if code >= 0:
-                    self._drawn[n] = (pol._uniform_draws if code % 2 else pol._draws)[code // 2]
-            ledger.cumulative_algorithm_cost = float(totals[0])
-            ledger.cumulative_leaf_costs = totals[1:].copy()
+                block = self._draw_block(t, min(self._block_rounds, T - t + 1))
+                if kernel is None:
+                    self._run_rows(t, block, trace, watch_idx)
+                else:
+                    failed = kernel(*block.shape, block.ctypes.data, *arrays, PROB_FLOOR,
+                                    fault.ctypes.data)
+                    ledger.rounds_elapsed += len(block) if failed < 0 else 0
+                t += len(block)
+        finally:  # a block that fails its check leaves the blocks before it
+            if kernel is not None:
+                theta, soft, drawn = theta.tolist(), soft.tolist(), drawn.tolist()
+                for n in nodes:
+                    pol, code = pols[n], drawn[n]
+                    pol._theta = theta[first[n]:first[n + 1]]
+                    pol._soft = soft[first[n]:first[n + 1]]
+                    if code >= 0:
+                        self._drawn[n] = (pol._uniform_draws if code % 2 else pol._draws)[code // 2]
+                ledger.cumulative_algorithm_cost = float(totals[0])
+                ledger.cumulative_leaf_costs = totals[1:]
         if failed >= 0:
             pols[failed].update(self._drawn[failed], *fault.tolist())
             raise EngineError(f"the compiled round stopped at node {failed}, "

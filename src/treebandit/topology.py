@@ -10,6 +10,7 @@ forwarding stages, i.e. the hop distance from the root to the deepest leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 class TopologyError(ValueError):
@@ -31,6 +32,8 @@ class TreeTopology:
     leaves: tuple[int, ...] = field(init=False, repr=False)
     non_leaves: tuple[int, ...] = field(init=False, repr=False)
     leaf_pos: tuple[int, ...] = field(init=False, repr=False)  # index in leaves, or -1
+    # node n's children hold slots first_slot[n]..first_slot[n+1]-1, in child order
+    first_slot: tuple[int, ...] = field(init=False, repr=False)
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -70,6 +73,8 @@ class TreeTopology:
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "non_leaves", non_leaves)
         object.__setattr__(self, "leaf_pos", tuple(leaf_pos.get(i, -1) for i in range(n)))
+        first_slot = accumulate(map(len, self.children), initial=0)
+        object.__setattr__(self, "first_slot", tuple(first_slot))
         object.__setattr__(self, "depth", max(depth_of[i] for i in leaves))
 
     @property

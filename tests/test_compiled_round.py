@@ -284,8 +284,19 @@ class ShortRows(SparseUniformEnv):
         return super().costs_block(t, n, rng)[:, 1:]
 
 
+class WideRows(SparseUniformEnv):
+    def costs_block(self, t, n, rng):
+        return rng.random((n, self._n + 1))
+
+
 def test_a_block_of_the_wrong_shape_is_an_engine_error():
     spec = {0: (Exp3Baseline, 3, 0.5, 0.1, None)}
-    sim = build(TreeTopology(((1, 2, 3), (), (), ())), spec, ShortRows(3), 30, 0)
-    with pytest.raises(EngineError, match=re.escape("cost block of shape (10, 2), not (10, 3)")):
-        sim.run(20)
+    for env, shape in ((ShortRows(3), (10, 2)), (WideRows(3), (10, 4))):
+        fast, twin = (build(TreeTopology(((1, 2, 3), (), (), ())), spec, env, 30, 0)
+                      for _ in range(2))
+        text = re.escape(f"environment returned a cost block of shape {shape}, not (10, 3)")
+        with pytest.raises(EngineError, match=f"^{text}$"):
+            fast.run(20)
+        with pytest.raises(EngineError, match=f"^{text}$"):
+            on_python_route(lambda: twin.run(20))
+        assert_twins(fast, twin)

@@ -161,6 +161,21 @@ def test_path_to_runs_from_the_root_down_to_the_node():
             assert all(down in tree.children[up] for up, down in zip(path, path[1:]))
 
 
+def test_first_slot_gives_each_node_the_slots_of_its_children_in_order():
+    uniform = build_uniform_tree(3, 2)
+    assert uniform.first_slot == (0, 3, 6, 9, 12) + (12,) * 9
+    chain = build_chain_tree(3)  # node i's children: (leaf, next node); last: two leaves
+    assert chain.first_slot == (0, 2, 4, 6, 6, 6, 6, 6)
+    ragged = TreeTopology(((3, 1), (), (5, 4), (2,), (), ()))  # ids out of order
+    assert ragged.first_slot == (0, 2, 2, 4, 5, 5, 5)
+    for tree in (uniform, chain, ragged):
+        by_slot = [child for kids in tree.children for child in kids]  # every node but the root
+        for node, kids in enumerate(tree.children):  # a leaf's range is empty
+            assert by_slot[tree.first_slot[node]:tree.first_slot[node + 1]] == list(kids)
+        assert len(tree.first_slot) == tree.node_count + 1
+        assert tree.first_slot[-1] == tree.node_count - 1 == len(by_slot)
+
+
 class TestAdjacencyParsing:
     """The checks TreeTopology makes on the children lists it is given."""
 

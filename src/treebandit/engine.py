@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, cycle
 
 import numpy as np
 
@@ -165,11 +165,11 @@ class TraceRecorder:
 
 
 # A round's environment costs come from a block of this many leaf costs
-# (rows = rounds); node streams refill in buffers that double up to the cap.
+# (rows = rounds); a node stream refills this many floats at a time, on the
+# Python route only (the compiled round draws from the Generator itself).
 # Both bound the memory a run holds at a few hundred KiB.
 BLOCK_ELEMENTS = 16384
-NODE_BUFFER_FIRST = 8
-NODE_BUFFER_CAP = 256
+NODE_BUFFER = 256
 
 
 def _words(ints) -> list[int]:
@@ -274,13 +274,12 @@ def _node_generator(state: np.ndarray) -> np.random.Generator:
 
 
 def _float_buffers(generator):
-    """Lists of the floats that successive ``random()`` calls of the node's
-    Generator return; ``generator()`` is called when the first list is asked for."""
-    gen = generator()
-    size = NODE_BUFFER_FIRST
+    """Successive lists of ``NODE_BUFFER`` floats of ``generator()``: chunks of
+    ``Generator.random(k)`` join into the floats that single draws give. A
+    function, since a generator expression would keep a function object alive
+    for each node."""
     while True:
-        yield gen.random(size).tolist()
-        size = min(2 * size, NODE_BUFFER_CAP)
+        yield generator().random(NODE_BUFFER).tolist()
 
 
 class NodeStream:
@@ -289,21 +288,16 @@ class NodeStream:
     as a Python float. ``generator()`` returns that Generator, built at its
     first call, which ``random()`` makes at its first draw, so a node no job
     reaches costs no generator. ``random`` is the C-level ``__next__`` of a
-    chain over the buffers, so a draw resumes no Python frame. The compiled
-    round draws from ``generator()`` directly, which is coherent only while
-    ``random()`` has buffered nothing: the engine then keeps its Python route."""
+    chain over the buffers, so only a refill resumes a Python frame. The
+    compiled round draws from ``generator()`` directly, which is coherent
+    only while ``random()`` has buffered nothing: the engine then keeps its
+    Python route."""
 
     __slots__ = ("random", "generator")
 
     def __init__(self, state: np.ndarray) -> None:
-        built = []  # the generator, once built; a closure, so the stream holds no cycle
-
-        def generator() -> np.random.Generator:
-            if not built:
-                built.append(_node_generator(state))
-            return built[0]
-
-        self.generator = generator
+        # cycle repeats the one Generator that map builds at the first call
+        self.generator = generator = cycle(map(_node_generator, (state,))).__next__
         self.random = chain.from_iterable(_float_buffers(generator)).__next__
 
 
@@ -351,8 +345,12 @@ class Simulation:
         missing = [n for n in topology.non_leaves if n not in policies]
         if missing:
             raise EngineError(f"missing policies for non-leaf nodes {missing}")
+        owner: dict[int, int] = {}  # id of each policy object -> the first node it serves
         for node in topology.non_leaves:
             pol = policies[node]
+            if owner.setdefault(id(pol), node) != node:
+                raise EngineError(f"nodes {owner[id(pol)]} and {node} share one policy object; "
+                                  "every non-leaf needs its own")
             want = len(topology.children[node])
             if pol.n_children != want:
                 raise EngineError(

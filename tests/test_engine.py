@@ -96,6 +96,17 @@ class TestConstruction:
             Simulation(topo, policies, BernoulliTreeEnv([0.5, 0.5]),
                        FeedbackModel.END_TO_END_BANDIT)
 
+    def test_a_policy_object_serving_two_nodes_rejected(self):
+        # each route would learn differently from it: the compiled round packs
+        # a copy per node and the last written back wins, the Python route
+        # updates the one object from both nodes
+        topo = build_uniform_tree(2, 2)
+        shared = EpsilonExp3(2, 0.5, 0.1)
+        policies = {0: EpsilonExp3(2, 0.5, 0.1), 1: shared, 2: shared}
+        with pytest.raises(EngineError, match="^nodes 1 and 2 share one policy object"):
+            Simulation(topo, policies, BernoulliTreeEnv([0.9, 0.2, 0.5, 0.7]),
+                       FeedbackModel.END_TO_END_BANDIT, (1, 2, 3))
+
     def test_env_leaf_count_mismatch_rejected(self):
         topo = build_uniform_tree(2, 2)
         policies = uniform_tree_policies(topo, lambda k: UniformRandomPolicy(k))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from treebandit.engine import EngineError, FeedbackModel
+from treebandit.engine import EngineError, FeedbackModel, Simulation
 from treebandit.env import (
     BernoulliTreeEnv,
     CsvMatrixEnv,
@@ -19,7 +19,7 @@ from treebandit.env import (
     LowerBoundChainEnv,
     bernoulli_tree_means,
 )
-from treebandit import harness
+from treebandit import _round, harness
 from treebandit.harness import (
     DEFAULT_MASTER_SEED,
     AggregateResult,
@@ -737,6 +737,30 @@ def test_traces_only_collected_when_requested():
     ]
     for _, _, _, prob in res.traces[("uniform", 25)]:
         assert prob == 0.5
+
+
+def test_the_harness_runs_bandit_replications_on_the_compiled_round(monkeypatch):
+    kernel, reason = _round.load()
+    if kernel is None:
+        pytest.skip(reason)
+    routes = []
+    run = Simulation.run
+
+    def recorded(sim, *args, **kwargs):
+        ledger = run(sim, *args, **kwargs)
+        # only the compiled round leaves _compilable set after a run
+        routes.append("compiled" if sim._compilable else "python")
+        return ledger
+
+    monkeypatch.setattr(Simulation, "run", recorded)
+    raw = {**load_scenario("fig7-D2L2"), "horizons": [100, 316], "seeds": 2}
+    run_experiment(ExperimentConfig.from_dict(raw), jobs=1)
+    assert routes == ["compiled"] * 8  # 2 policies x 2 horizons x 2 seeds
+    routes.clear()
+    raw["trace"] = {"window": 50, "watched": [[0, 1]]}
+    res = run_experiment(ExperimentConfig.from_dict(raw), with_trace=True, jobs=1)
+    assert routes == ["python"] * 8
+    assert set(res.traces) == {(p, T) for p in ("eps_exp3", "exp3") for T in (100, 316)}
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ side runs, so a function-level import finds its own side's module. For every
 policy of every named scenario (a bundled scenario, or a config under
 ``perfbench/configs/``) the two sides then run ``run_one`` at horizon T in
 turn, N times, on seeds 0..N-1 and with the first side alternating, all in
-this process (so ``jobs=1``). Each line gives the best of the N CPU times per
+this process (so ``jobs=1``), after one untimed run of each side: a case's
+first run pays the process's first-touch costs, which read as a threefold
+change at ``--reps 1``. Each line gives the best of the N CPU times per
 round on each side, their ratio, whether the two sides' seed rows were equal
 on every seed, and the route each side's engine took: ``compiled`` where its
 ``Simulation`` ran the compiled round, else ``python``. The exit code is 1 if
@@ -20,7 +22,11 @@ any case's rows differ, else 0.
 
 Separate processes cannot resolve a change of a few percent where a shared
 host's speed drifts between processes by more than that. Alternating in one
-process puts both sides under the same drift.
+process puts both sides under the same drift. The ratios still resolve no
+change finer than the tool's own A/A spread (the same tree on both sides),
+which grows as N falls: one-rep ratios, as CI runs them, say nothing about a
+change of less than about 20%, and only their routes and rows check carry
+information.
 """
 
 from __future__ import annotations
@@ -121,8 +127,10 @@ def main(argv: list[str]) -> int:
             for k, (label, _) in enumerate(prepared["tree"]):
                 best = {side: float("inf") for side in sides}
                 rows = {side: [] for side in sides}
-                for side in sides.values():
+                for side_name, side in sides.items():
                     side.routes.clear()
+                    with side.current():  # untimed, so that no timed run is a cold one
+                        prepared[side_name][k][1](0)
                 for seed in range(args.reps):
                     order = list(sides) if seed % 2 == 0 else list(sides)[::-1]
                     for side in order:

@@ -1,15 +1,17 @@
-/* The bandit round of treebandit.engine.Simulation, for trees whose every
- * non-leaf is an EpsilonExp3 or an Exp3Baseline, one block of rows per call.
+/* The rounds of treebandit.engine.Simulation, one block of rows per call:
+ * run_block, the bandit round of trees whose every non-leaf is an
+ * EpsilonExp3 or an Exp3Baseline, and run_onehop, the one-hop round of trees
+ * whose every non-leaf is a NormalizedEG.
  *
- * It computes the Python route's floats: each node draws from its own PCG64
+ * They compute the Python route's floats: each node draws from its own PCG64
  * through numpy's bitgen_t (the doubles Generator.random() returns), every
  * sum adds left to right, max keeps the first of equal scores, exp is
  * libm's (math.exp), and each expression is written in the Python order.
  * Build with -ffp-contract=off, so that no multiply-add is fused.
  *
  * Per node (by id): first[n]..first[n+1]-1 are its child slots (none for a
- * leaf), kind[n] is EPS or EXP3, param[4n..4n+3] its eta, floor, scale and
- * mix, and gen[n] its bit generator. Per slot: the child's id, score and
+ * leaf), kind[n] is EPS, EXP3 or EG, param[4n..4n+3] its eta, floor, scale
+ * and mix, and gen[n] its bit generator. Per slot: the child's id, score and
  * softmax entry. drawn[n] is 2 * child + (1 in uniform mode) for the latest
  * draw of node n. totals is the ledger: the algorithm's cost, then each
  * leaf's, committed only when the whole block has run.
@@ -25,7 +27,7 @@ typedef struct bitgen { /* numpy/random/bitgen.h */
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-enum { EPS = 1, EXP3 = 2 };
+enum { EPS = 1, EXP3 = 2, EG = 3 };
 
 static double next_double(bitgen_t *g) { return g->next_double(g->state); }
 
@@ -71,6 +73,16 @@ static int select_child(int kind, const double *param, const double *soft, int k
             return j;
     }
     return k - 1;
+}
+
+/* Commits a block to the ledger: the algorithm's new total, then each leaf's
+ * costs added round by round, as RegretLedger.record adds them. */
+static void commit(int rows, int n_leaves, const double *costs, double alg, double *totals)
+{
+    totals[0] = alg;
+    for (int i = 0; i < rows; i++)
+        for (int j = 0; j < n_leaves; j++)
+            totals[1 + j] += costs[(long)i * n_leaves + j];
 }
 
 /* Runs `rows` rounds on costs[rows][n_leaves]. Returns -1, or the node
@@ -127,9 +139,45 @@ int run_block(int rows, int n_leaves, const double *costs, const int *kind,
             node = kids[slot];
         }
     }
-    totals[0] = alg;
-    for (int i = 0; i < rows; i++)
+    commit(rows, n_leaves, costs, alg, totals);
+    return -1;
+}
+
+/* Runs `rows` rounds of one-hop feedback on costs[rows][n_leaves], as
+ * _complete_round does. y has a slot per node: the children at their slots,
+ * the root at the last. leaf_slots[j] is the slot of leaf column j, order
+ * the non-leaves deep-first (the root last) and own[o] the slot of order[o].
+ * Returns -1: the block check has already rejected every cost that
+ * NormalizedEG.observe_all would. */
+int run_onehop(int rows, int n_leaves, const double *costs, const int *kind,
+               const int *first, const int *order, const int *own, const int *leaf_slots,
+               const double *param, bitgen_t *const *gen, double *theta, double *soft,
+               int *drawn, double *totals, double *y)
+{
+    double alg = totals[0];
+    int o, node;
+    for (int i = 0; i < rows; i++) {
         for (int j = 0; j < n_leaves; j++)
-            totals[1 + j] += costs[(long)i * n_leaves + j];
+            y[leaf_slots[j]] = costs[(long)i * n_leaves + j];
+        o = 0;
+        do { /* each node selects, writing its chosen child's cost at its own slot */
+            int uniform, c;
+            node = order[o];
+            c = select_child(kind[node], param + 4 * node, soft + first[node],
+                             first[node + 1] - first[node], gen[node], &uniform);
+            drawn[node] = 2 * c + uniform;
+            y[own[o++]] = y[first[node] + c];
+        } while (node != 0);
+        alg += y[own[o - 1]];
+        o = 0;
+        do { /* NormalizedEG.observe_all */
+            node = order[o++];
+            for (int s = first[node]; s < first[node + 1]; s++)
+                theta[s] -= y[s];
+            softmax(theta + first[node], soft + first[node], first[node + 1] - first[node],
+                    param[4 * node]);
+        } while (node != 0);
+    }
+    commit(rows, n_leaves, costs, alg, totals);
     return -1;
 }

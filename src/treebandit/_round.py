@@ -1,4 +1,5 @@
-"""Builds and loads ``_round.c``, the compiled bandit round.
+"""Builds and loads ``_round.c``, the compiled rounds: ``run_block`` for
+bandit feedback and ``run_onehop`` for one-hop feedback.
 
 ``load()`` compiles the library at its first call, never at import, with
 sysconfig's ``CC`` and fixed flags (no fast-math, no host-specific code), and
@@ -17,10 +18,11 @@ import os
 import tempfile
 from pathlib import Path
 
-from treebandit.policy import EpsilonExp3, Exp3Baseline
+from treebandit.policy import EpsilonExp3, Exp3Baseline, FeedbackModel, NormalizedEG
 
-# the learners the compiled round runs, each as its kind in _round.c's enum
-KINDS = {EpsilonExp3: 1, Exp3Baseline: 2}
+# the learners the compiled rounds run, each as its kind in _round.c's enum; a
+# learner's ``accepts`` names the one feedback model, and so the entry, it runs under
+KINDS = {EpsilonExp3: 1, Exp3Baseline: 2, NormalizedEG: 3}
 SOURCE = Path(__file__).with_name("_round.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -67,14 +69,16 @@ def bitgen_address(generator) -> int:
 
 @functools.cache
 def load():
-    """``(run_block, None)``, the library's entry with its argument types, or
-    ``(None, reason)`` when it cannot be built or loaded."""
+    """``(entries, None)``, the library's entry for each feedback model with its
+    argument types, or ``(None, reason)`` when it cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(str(_build(SOURCE.parent / "__pycache__")))
     except OSError as exc:
         return None, f"the compiled round is unavailable: {exc}"
-    run_block = lib.run_block
+    run_block, run_onehop = lib.run_block, lib.run_onehop
     ptr, i32 = ctypes.c_void_p, ctypes.c_int
     run_block.argtypes = [i32, i32] + [ptr] * 11 + [ctypes.c_double, ptr]
-    run_block.restype = i32
-    return run_block, None
+    run_onehop.argtypes = [i32, i32] + [ptr] * 13
+    run_block.restype = run_onehop.restype = i32
+    return {FeedbackModel.END_TO_END_BANDIT: run_block,
+            FeedbackModel.COMPLETE_ONE_HOP: run_onehop}, None

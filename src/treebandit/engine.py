@@ -37,15 +37,15 @@ node's generator is built from its state at the node's first visit, and the
 compiled round builds every non-leaf's generator when its run starts.
 
 ``run`` walks the blocks in one loop, and each block, drawn and checked by
-``_draw_block``, is run either by the compiled round (``_round.c``, built and
+``_draw_block``, is run either by a compiled round (``_round.c``, built and
 loaded by ``_round.load``) or row by row on the Python route. The compiled
-round takes untraced bandit blocks when every non-leaf is exactly an
-``EpsilonExp3`` or an ``Exp3Baseline``: one C call per block, with the same
-node draws and the same floats in the same order, so the outputs are the same
-bytes. ``run_round``, traced runs, one-hop feedback, any other policy, and a
-run whose library cannot be built take the Python route, which is the
-reference; once it has run, a ``Simulation`` keeps it, since its node streams
-hold buffered floats.
+rounds take untraced blocks when every non-leaf is exactly an ``EpsilonExp3``
+or an ``Exp3Baseline`` (bandit feedback) or a ``NormalizedEG`` (one-hop
+feedback): one C call per block, with the same node draws and the same floats
+in the same order, so the outputs are the same bytes. ``run_round``, traced
+runs, any other policy, and a run whose library cannot be built take the
+Python route, which is the reference; once it has run, a ``Simulation`` keeps
+it, since its node streams hold buffered floats.
 
 Policies that require expected costs (the oracle) get them from one
 recursion of w from the root over the start-of-round distributions, run
@@ -389,8 +389,7 @@ class Simulation:
         self._block_rounds = max(1, BLOCK_ELEMENTS // env.n_leaves)
         # run() hands untraced rounds to the compiled round while this holds;
         # the Python route clears it, since its node streams then hold buffered floats
-        self._compilable = feedback is FeedbackModel.END_TO_END_BANDIT and all(
-            type(policies[n]) in _round.KINDS for n in topology.non_leaves)
+        self._compilable = all(type(policies[n]) in _round.KINDS for n in topology.non_leaves)
 
     # -- per-round machinery -------------------------------------------------
 
@@ -528,18 +527,22 @@ class Simulation:
     def run(self, T: int, trace: TraceRecorder | None = None) -> RegretLedger:
         """Execute rounds 1..T; optionally record windowed probability traces.
 
-        One loop walks the blocks. Each is one call of the compiled round when
-        the run is untraced, ``_compilable`` holds and the library loads, else
-        the Python rows. The compiled round works on flat arrays, packed before
-        the loop: each non-leaf's kind, parameters and generator, and its
-        children's ids, scores and softmax entries at their ``first_slot``
-        slots. After the loop the scores, softmax entries, draws and ledger
-        totals are written back, also when a block fails its check; an update
-        that fails in C is then made in Python, to raise its own error.
+        One loop walks the blocks. Each is one call of the compiled round of
+        ``self.feedback`` when the run is untraced, ``_compilable`` holds and
+        the library loads, else the Python rows. The compiled rounds work on
+        flat arrays, packed before the loop: each non-leaf's kind, parameters
+        and generator, and its children's scores and softmax entries at their
+        ``first_slot`` slots; then, for bandit feedback, the children's ids
+        and the leaves' cost columns, and for one-hop feedback the non-leaves
+        deep-first, their own slots and the leaves' slots. After the loop the
+        scores, softmax entries, draws and ledger totals are written back,
+        also when a block fails its check; a bandit update that fails in C is
+        then made in Python, to raise its own error.
         """
         if T < 0:
             raise EngineError(f"horizon must be >= 0, got {T}")
-        kernel = _round.load()[0] if trace is None and self._compilable else None
+        kernels = _round.load()[0] if trace is None and self._compilable else None
+        kernel = kernels and kernels[self.feedback]
         watch_idx = [(node, self.topology.child_index(node, child))
                      for node, child in (trace.watched if trace is not None else ())]
         nodes, first = self.topology.non_leaves, self.topology.first_slot
@@ -557,12 +560,19 @@ class Simulation:
             drawn = np.full(count, -1, dtype=np.intc)
             totals = np.concatenate(([ledger.cumulative_algorithm_cost],
                                      ledger.cumulative_leaf_costs))
-            fault = np.zeros(2)
+            if self.feedback is FeedbackModel.END_TO_END_BANDIT:
+                fault = np.zeros(2)
+                route = [chain.from_iterable(self._children), self._leaf_pos]
+                tail = [PROB_FLOOR, fault.ctypes.data]
+            else:  # the non-leaves deep-first, their own slots, the leaf slots; a slot row
+                order, _, _, own = zip(*self._slots_deep_first)
+                y = np.empty(count)
+                route, tail = [order, own, self._leaf_slots], [y.ctypes.data]
             held = [np.array(kind, dtype=np.intc), np.array(first, dtype=np.intc),
-                    np.fromiter(chain.from_iterable(self._children), dtype=np.intc),
-                    np.array(self._leaf_pos, dtype=np.intc), np.array(param),
+                    *(np.fromiter(r, dtype=np.intc) for r in route), np.array(param),
                     np.array(gen, dtype=np.uintp), theta, soft, drawn, totals]
-            arrays = [a.ctypes.data for a in held]  # addresses only: held keeps the arrays
+            # addresses only: held, fault and y keep the arrays
+            arrays = [a.ctypes.data for a in held] + tail
         failed, t = -1, 1
         try:
             while t <= T and failed < 0:
@@ -570,8 +580,7 @@ class Simulation:
                 if kernel is None:
                     self._run_rows(t, block, trace, watch_idx)
                 else:
-                    failed = kernel(*block.shape, block.ctypes.data, *arrays, PROB_FLOOR,
-                                    fault.ctypes.data)
+                    failed = kernel(*block.shape, block.ctypes.data, *arrays)
                     ledger.rounds_elapsed += len(block) if failed < 0 else 0
                 t += len(block)
         finally:  # a block that fails its check leaves the blocks before it

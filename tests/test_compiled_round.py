@@ -1,7 +1,9 @@
-"""The compiled bandit round (``_round.c``) computes the Python route's floats.
+"""The compiled rounds (``_round.c``) compute the Python route's floats.
 
-``Simulation.run`` hands untraced bandit rounds to the compiled round when
-every non-leaf is an ``EpsilonExp3`` or an ``Exp3Baseline``. A twin that
+``Simulation.run`` hands untraced bandit rounds to the compiled bandit round
+when every non-leaf is an ``EpsilonExp3`` or an ``Exp3Baseline``, and
+untraced one-hop rounds to the compiled one-hop round when every non-leaf is
+a ``NormalizedEG``. A twin that
 takes the Python route, as it does without a compiler, must end with the
 same ledger totals, scores, softmax entries and draws, compared with ``==``,
 and every node stream must hand out the same next float. The trees are
@@ -27,7 +29,13 @@ from hypothesis import strategies as st  # noqa: E402
 from treebandit import _round, engine  # noqa: E402
 from treebandit.engine import EngineError, FeedbackModel, Simulation  # noqa: E402
 from treebandit.env import BernoulliTreeEnv, CostEnvironment  # noqa: E402
-from treebandit.policy import EpsilonExp3, Exp3Baseline, NumericalError, PolicyError  # noqa: E402
+from treebandit.policy import (  # noqa: E402
+    EpsilonExp3,
+    Exp3Baseline,
+    NormalizedEG,
+    NumericalError,
+    PolicyError,
+)
 from treebandit.topology import TreeTopology  # noqa: E402
 
 KERNEL, REASON = _round.load()
@@ -171,6 +179,39 @@ def test_a_round_first_keeps_the_python_route(case, T):
         if isinstance(want, tuple):
             break
     assert not fast._compilable
+    assert_twins(fast, twin)
+
+
+# -- one-hop feedback -----------------------------------------------------------
+
+
+def build_one_hop(topo, spec, env, block_elements, seed):
+    """``build``'s twin with a ``NormalizedEG`` of the spec's eta and scores at
+    every non-leaf, under one-hop feedback."""
+    policies = {}
+    for node, (_, k, eta, _, theta) in spec.items():
+        policies[node] = pol = NormalizedEG(k, eta)
+        if theta is not None:
+            pol.theta = theta
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", block_elements):
+        return Simulation(topo, policies, env, FeedbackModel.COMPLETE_ONE_HOP, entropy=(seed,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=setups(), horizons=st.tuples(st.integers(0, 40), st.integers(1, 40)),
+       round_first=st.booleans())
+def test_a_one_hop_run_equals_the_python_route(case, horizons, round_first):
+    # a run_round first buffers node floats, and the runs after it keep the Python route
+    fast, twin = build_one_hop(*case), build_one_hop(*case)
+    T1, T2 = horizons
+    steps = [lambda sim: sim.run(T1).rounds_elapsed, lambda sim: sim.run(T2).rounds_elapsed,
+             lambda sim: sim.run_round(T2 + 1)]
+    if round_first:
+        steps.insert(0, lambda sim: sim.run_round(1))
+    for step in steps:
+        assert step(fast) == on_python_route(lambda: step(twin))
+        assert fast._compilable is (not round_first and step is not steps[-1])
+        assert state(fast) == state(twin)
     assert_twins(fast, twin)
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from treebandit import engine
+from treebandit import _round, engine
 from treebandit.engine import (
     EngineError,
     FeedbackModel,
@@ -390,6 +390,26 @@ class TestOneHopSemantics:
         assert sim.ledger.cumulative_leaf_costs.tolist() == leaf_totals
         for node in topo.non_leaves:
             assert policies[node].theta == ref[node].theta
+
+    @pytest.mark.parametrize("topo", [
+        build_chain_tree(3),
+        TreeTopology(((5, 2, 1), (8, 3, 7), (11, 9, 6), (), (), (), (), (), (), (10, 4), (), ())),
+    ], ids=["chain_d3", "hand_built"])
+    def test_the_python_route_matches_the_plain_reference_too(self, topo, monkeypatch):
+        # the test above takes the compiled round where the library builds
+        routes = []
+        run = Simulation.run
+
+        def recorded(sim, *args, **kwargs):
+            ledger = run(sim, *args, **kwargs)
+            # only the compiled round leaves _compilable set after a run
+            routes.append("compiled" if sim._compilable else "python")
+            return ledger
+
+        monkeypatch.setattr(Simulation, "run", recorded)
+        monkeypatch.setattr(_round, "load", lambda: (None, "the reference route"))
+        self.test_matches_a_plain_reference_on_ragged_trees(topo)
+        assert routes == ["python"]
 
 
 class TestBanditSemantics:

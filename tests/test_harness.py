@@ -763,6 +763,31 @@ def test_the_harness_runs_bandit_replications_on_the_compiled_round(monkeypatch)
     assert set(res.traces) == {(p, T) for p in ("eps_exp3", "exp3") for T in (100, 316)}
 
 
+def test_the_harness_runs_one_hop_replications_on_the_compiled_round(monkeypatch):
+    kernel, reason = _round.load()
+    if kernel is None:
+        pytest.skip(reason)
+    routes = []
+    run = Simulation.run
+
+    def recorded(sim, *args, **kwargs):
+        ledger = run(sim, *args, **kwargs)
+        # only the compiled round leaves _compilable set after a run
+        routes.append("compiled" if sim._compilable else "python")
+        return ledger
+
+    monkeypatch.setattr(Simulation, "run", recorded)
+    raw = base_config(topology={"kind": "uniform", "fanout": 4, "depth": 2},
+                      policies=[{"name": "normalized_eg"}], horizons=[100, 316])
+    run_experiment(ExperimentConfig.from_dict(raw), jobs=1)
+    assert routes == ["compiled"] * 4  # 2 horizons x 2 seeds
+    routes.clear()
+    raw["trace"] = {"window": 50, "watched": [[0, 1]]}
+    res = run_experiment(ExperimentConfig.from_dict(raw), with_trace=True, jobs=1)
+    assert routes == ["python"] * 4
+    assert set(res.traces) == {("normalized_eg", T) for T in (100, 316)}
+
+
 # --------------------------------------------------------------------------
 # worker processes
 

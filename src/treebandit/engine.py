@@ -32,9 +32,8 @@ receive probabilities from a one-round trace of every edge.
 Randomness comes from one environment stream and one stream per non-leaf,
 each keyed by the run's entropy (``rng_streams``). The PCG64 seed states of
 all non-leaves are computed at once per replication by a copy of numpy's
-SeedSequence hash, which the tests pin to numpy's; on the Python route a
-node's generator is built from its state at the node's first visit, and the
-compiled round builds every non-leaf's generator when its run starts.
+SeedSequence hash, which the tests pin to numpy's, and every non-leaf's
+generator is built from its state with its stream, when the ``Simulation`` is.
 
 ``run`` walks the blocks in one loop, and each block, drawn and checked by
 ``_draw_block``, is run either by a compiled round (``_round.c``, built and
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain, cycle
+from itertools import chain
 
 import numpy as np
 
@@ -268,37 +267,33 @@ def _seed_state_type() -> type:
 
 def _node_generator(state: np.ndarray) -> np.random.Generator:
     """The Generator of ``PCG64`` seeded with ``state``. Every node stream is
-    seeded here, at its first draw or when a compiled run starts; tests patch
-    it to record the states."""
+    seeded here, when it is built; tests patch it to record the states."""
     return np.random.Generator(np.random.PCG64(_seed_state_type()(state)))
 
 
-def _float_buffers(generator):
-    """Successive lists of ``NODE_BUFFER`` floats of ``generator()``: chunks of
+def _float_buffers(generator: np.random.Generator):
+    """Successive lists of ``NODE_BUFFER`` floats of ``generator``: chunks of
     ``Generator.random(k)`` join into the floats that single draws give. A
     function, since a generator expression would keep a function object alive
     for each node."""
     while True:
-        yield generator().random(NODE_BUFFER).tolist()
+        yield generator.random(NODE_BUFFER).tolist()
 
 
 class NodeStream:
-    """A node's random stream: ``random()`` returns the next float of the
-    Generator of ``PCG64`` seeded with ``state`` (a row of ``_seed_states``),
-    as a Python float. ``generator()`` returns that Generator, built at its
-    first call, which ``random()`` makes at its first draw, so a node no job
-    reaches costs no generator. ``random`` is the C-level ``__next__`` of a
-    chain over the buffers, so only a refill resumes a Python frame. The
-    compiled round draws from ``generator()`` directly, which is coherent
-    only while ``random()`` has buffered nothing: the engine then keeps its
-    Python route."""
+    """A node's random stream: ``generator`` is the Generator of ``PCG64``
+    seeded with ``state`` (a row of ``_seed_states``), built with the stream,
+    and ``random()`` returns its next float as a Python float. ``random`` is
+    the C-level ``__next__`` of a chain over the buffers, so only a refill
+    resumes a Python frame. The compiled round draws from ``generator``
+    directly, which is coherent only while ``random()`` has buffered nothing:
+    the engine then keeps its Python route."""
 
     __slots__ = ("random", "generator")
 
     def __init__(self, state: np.ndarray) -> None:
-        # cycle repeats the one Generator that map builds at the first call
-        self.generator = generator = cycle(map(_node_generator, (state,))).__next__
-        self.random = chain.from_iterable(_float_buffers(generator)).__next__
+        self.generator = _node_generator(state)
+        self.random = chain.from_iterable(_float_buffers(self.generator)).__next__
 
 
 def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, list]:
@@ -308,9 +303,8 @@ def rng_streams(topology: TreeTopology, entropy) -> tuple[np.random.Generator, l
 
     The env stream is ``default_rng`` of the key's words. The seed states of
     all node streams are computed here at once by ``_seed_states``, a copy of
-    SeedSequence's hash that the tests pin to numpy's; each node's generator
-    is built from its state at the node's first draw, or for every node when
-    a compiled run starts.
+    SeedSequence's hash that the tests pin to numpy's, and each node's
+    generator is built from its state here, with its stream.
     """
     base = _words(entropy)
     env_rng = np.random.default_rng(base + [0])
@@ -554,7 +548,7 @@ class Simulation:
                 pol = pols[n]
                 kind[n] = _round.KINDS[type(pol)]
                 param[n] = pol.eta, pol._floor, pol._scale, pol.mix
-                gen[n] = _round.bitgen_address(self._node_rngs[n].generator())
+                gen[n] = _round.bitgen_address(self._node_rngs[n].generator)
             theta = np.array([x for n in nodes for x in pols[n]._theta])
             soft = np.array([x for n in nodes for x in pols[n]._soft])
             drawn = np.full(count, -1, dtype=np.intc)

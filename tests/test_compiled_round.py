@@ -230,7 +230,7 @@ STARTS = {
 
 
 def force_draws(sim, node, start):
-    sim._node_rngs[node].generator().bit_generator.state = {
+    sim._node_rngs[node].generator.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": STARTS[start], "inc": INC},
         "has_uint32": 0,

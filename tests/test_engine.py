@@ -613,8 +613,11 @@ class TestDeterminism:
         got = [stream.random() for _ in range(600)]
         assert got == np.random.default_rng([4, 1, 2]).random(600).tolist()
         assert all(type(u) is float for u in got)
+        # the Generator itself, built with the stream, hands out the same floats
+        twin = NodeStream(np.random.SeedSequence([4, 1, 2]).generate_state(4, np.uint64))
+        assert twin.generator.random(600).tolist() == got
 
-    def test_only_nodes_on_the_path_are_seeded(self, monkeypatch):
+    def test_every_node_stream_is_seeded_once_when_built(self, monkeypatch):
         topo = build_uniform_tree(4, 3)
         seeded = []
         default_rng = np.random.default_rng
@@ -637,9 +640,11 @@ class TestDeterminism:
         monkeypatch.setattr(engine, "_node_generator", recording_node)
         sim = make_bandit_sim(topo, np.linspace(0.9, 0.1, 64),
                               lambda k: EpsilonExp3(k, eta=0.3, epsilon=0.5), (5, 6))
-        assert seeded == [[5, 6, 0]]  # the environment's stream only
-        path = sim.run_round(1).path
-        assert seeded == [[5, 6, 0]] + [[5, 6, 1, node] for node in path[:-1]]
+        built = [[5, 6, 0]] + [[5, 6, 1, n] for n in topo.non_leaves]
+        assert seeded == built  # the environment's stream, then every non-leaf's
+        sim.run_round(1)
+        sim.run(3)
+        assert seeded == built
 
     @pytest.mark.parametrize("entropy", [(0,), (0, 0, 0), (2**40 + 7, 1, 0), (5, 2**33, 2**70)])
     def test_streams_equal_default_rng_on_the_same_keys(self, entropy):

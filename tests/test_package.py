@@ -2,13 +2,16 @@
 does not import numpy.random, multiprocessing or concurrent.futures, nor
 builds or loads the compiled round, and the deadline expected costs an oracle
 reads need no scipy. Without a compiler or a writable cache a copy of the
-package runs on the Python route, with the same bytes."""
+package runs on the Python route, with the same bytes; wherever a compiler
+is found, the compiled round builds."""
 
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+import sysconfig
 import types
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 from test_golden_outputs import GOLDEN, GRID
 
 import treebandit
+from treebandit import _round
 
 PACKAGE = Path(treebandit.__file__).resolve().parent
 
@@ -142,3 +146,16 @@ def test_the_compiled_round_source_ships_with_the_package():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
     assert "_round.c" in pyproject["tool"]["setuptools"]["package-data"]["treebandit"]
+
+
+def test_the_compiled_round_builds_wherever_a_compiler_is_found():
+    # every compiled-round test skips on the loader's reason, and the Python
+    # route writes the same bytes, so only this test fails on a _round.c that
+    # does not compile; it looks for the compiler as _round._build does
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no compiler {compiler!r} on PATH")
+    if not os.access(PACKAGE, os.W_OK):
+        pytest.skip(f"the package directory {PACKAGE} is not writable")
+    entries, reason = _round.load()
+    assert entries is not None, reason

@@ -17,8 +17,11 @@ first run pays the process's first-touch costs, which read as a threefold
 change at ``--reps 1``. Each line gives the best of the N CPU times per
 round on each side, their ratio, whether the two sides' seed rows were equal
 on every seed, and the route each side's engine took: ``compiled`` where its
-``Simulation`` ran the compiled round, else ``python``. The exit code is 1 if
-any case's rows differ, else 0.
+``Simulation`` ran the compiled round, else ``python``. A case that REF ran
+compiled and the tree ran on the Python route, even in part, reads ``ROUTE
+LOST``; ``python`` to ``compiled``, as when a new compiled round lands, is
+allowed. The exit code is 1 if any case's rows differ or its route is lost,
+else 0.
 
 Separate processes cannot resolve a change of a few percent where a shared
 host's speed drifts between processes by more than that. Alternating in one
@@ -114,7 +117,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--scenarios", default=DEFAULT_SCENARIOS,
                         help=f"comma-separated names (default {DEFAULT_SCENARIOS})")
     args = parser.parse_args(argv)
-    differ = False
+    failed = False
     with tempfile.TemporaryDirectory(prefix="ab_rounds_") as tmp:
         sides = {args.ref: Side(export_src(args.ref, Path(tmp))), "tree": Side(ROOT / "src")}
         print(f"CPU µs per round at T={args.t}, best of {args.reps}: {args.ref} -> tree")
@@ -140,12 +143,14 @@ def main(argv: list[str]) -> int:
                         rows[side].append(row)
                 ref_us, tree_us = (best[side] * 1e6 / args.t for side in sides)
                 equal = rows[args.ref] == rows["tree"]
-                differ = differ or not equal
+                lost = sides[args.ref].routes == {"compiled"} and "python" in sides["tree"].routes
+                failed = failed or not equal or lost
                 routes = ", ".join(f"{side_name} {'+'.join(sorted(side.routes))}"
                                    for side_name, side in sides.items())
                 print(f"{name} {label}: {ref_us:.2f} -> {tree_us:.2f} ({tree_us / ref_us:.3f}x), "
-                      + ("rows equal" if equal else "ROWS DIFFER") + f"; {routes}")
-    return 1 if differ else 0
+                      + ("rows equal" if equal else "ROWS DIFFER") + f"; {routes}"
+                      + ("; ROUTE LOST" if lost else ""))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -6,15 +6,16 @@
  * They compute the Python route's floats: each node draws from its own PCG64
  * through numpy's bitgen_t (the doubles Generator.random() returns), every
  * sum adds left to right, max keeps the first of equal scores, exp is
- * libm's (math.exp), and each expression is written in the Python order.
+ * libm's (math.exp), each expression is written in the Python order, and
+ * one loop, select_child's, scans every softmax, as _SoftmaxPolicy._scan does.
  * Build with -ffp-contract=off, so that no multiply-add is fused.
  *
  * Per node (by id): first[n]..first[n+1]-1 are its child slots (none for a
  * leaf), kind[n] is EPS, EXP3 or EG, param[4n..4n+3] its eta, floor, scale
  * and mix, and gen[n] its bit generator. Per slot: the child's id, score and
- * softmax entry. drawn[n] is 2 * child + (1 in uniform mode) for the latest
- * draw of node n. totals is the ledger: the algorithm's cost, then each
- * leaf's, committed only when the whole block has run.
+ * softmax entry. drawn[n] is select_child's code for the latest draw of
+ * node n. totals is the ledger: the algorithm's cost, then each leaf's,
+ * committed only when the whole block has run.
  */
 #include <math.h>
 #include <stdint.h>
@@ -46,33 +47,22 @@ static void softmax(const double *theta, double *soft, int k, double eta)
         soft[j] = soft[j] / s;
 }
 
-/* EpsilonExp3.select and _SoftmaxPolicy.select: the child position, with
- * *uniform set in EpsilonExp3's mode U */
+/* _SoftmaxPolicy.select and EpsilonExp3.select: the draw code 2 * child +
+ * (1 in EpsilonExp3's mode U). One inverse-CDF scan of floor + scale * soft,
+ * at the node's floor and scale, or at 0 and 1 for EpsilonExp3's mode E. */
 static int select_child(int kind, const double *param, const double *soft, int k,
-                        bitgen_t *g, int *uniform)
+                        bitgen_t *g)
 {
-    double u, acc = 0.0;
-    *uniform = 0;
-    if (kind == EPS) {
-        if (next_double(g) < param[3]) {
-            *uniform = 1;
-            return (int)(next_double(g) * k);
-        }
-        u = next_double(g);
-        for (int j = 0; j < k; j++) {
-            acc += soft[j];
-            if (u < acc)
-                return j;
-        }
-        return k - 1;
-    }
-    u = next_double(g);
+    if (kind == EPS && next_double(g) < param[3])
+        return 2 * (int)(next_double(g) * k) + 1;
+    double u = next_double(g), acc = 0.0;
+    double floor = kind == EPS ? 0.0 : param[1], scale = kind == EPS ? 1.0 : param[2];
     for (int j = 0; j < k; j++) {
-        acc += param[1] + param[2] * soft[j];
+        acc += floor + scale * soft[j];
         if (u < acc)
-            return j;
+            return 2 * j;
     }
-    return k - 1;
+    return 2 * (k - 1);
 }
 
 /* Commits a block to the ledger: the algorithm's new total, then each leaf's
@@ -98,11 +88,9 @@ int run_block(int rows, int n_leaves, const double *costs, const int *kind,
     for (int i = 0; i < rows; i++) {
         int node = 0;
         while (first[node + 1] > first[node]) {
-            int k = first[node + 1] - first[node], uniform;
-            int c = select_child(kind[node], param + 4 * node, soft + first[node], k,
-                                 gen[node], &uniform);
-            drawn[node] = 2 * c + uniform;
-            node = kids[first[node] + c];
+            drawn[node] = select_child(kind[node], param + 4 * node, soft + first[node],
+                                       first[node + 1] - first[node], gen[node]);
+            node = kids[first[node] + drawn[node] / 2];
         }
         double cost = costs[(long)i * n_leaves + leaf_pos[node]];
         alg += cost;
@@ -112,7 +100,7 @@ int run_block(int rows, int n_leaves, const double *costs, const int *kind,
         node = 0;
         while (first[node + 1] > first[node]) {
             int k = first[node + 1] - first[node];
-            int c = drawn[node] / 2, slot = first[node] + c;
+            int slot = first[node] + drawn[node] / 2;
             const double *p4 = param + 4 * node;
             double v_node = v, p = p4[1] + p4[2] * soft[slot], dec;
             v = v * p;
@@ -125,7 +113,7 @@ int run_block(int rows, int n_leaves, const double *costs, const int *kind,
                     dec = cost * k / v_node;
                 } else {
                     double e = soft[slot];
-                    if (e < prob_floor || v_node * e == 0.0) /* NumericalError, ZeroDivisionError */
+                    if (e < prob_floor || v_node * e == 0.0) /* NumericalError */
                         return node;
                     dec = cost / (v_node * e);
                 }
@@ -161,12 +149,10 @@ int run_onehop(int rows, int n_leaves, const double *costs, const int *kind,
             y[leaf_slots[j]] = costs[(long)i * n_leaves + j];
         o = 0;
         do { /* each node selects, writing its chosen child's cost at its own slot */
-            int uniform, c;
             node = order[o];
-            c = select_child(kind[node], param + 4 * node, soft + first[node],
-                             first[node + 1] - first[node], gen[node], &uniform);
-            drawn[node] = 2 * c + uniform;
-            y[own[o++]] = y[first[node] + c];
+            drawn[node] = select_child(kind[node], param + 4 * node, soft + first[node],
+                                       first[node + 1] - first[node], gen[node]);
+            y[own[o++]] = y[first[node] + drawn[node] / 2];
         } while (node != 0);
         alg += y[own[o - 1]];
         o = 0;

@@ -23,14 +23,14 @@ path.
 
 The three learners share one exponential-weights learner,
 ``_SoftmaxPolicy``: scores ``theta``, rate ``eta``, their softmax, and its
-``prob``/``distribution``/``select``. The softmax is recomputed where
-``theta`` or ``eta`` changes and nowhere else, so every read finds it
-current. Each supplies only its uniform floor ``mix`` and its update:
-``EpsilonExp3`` mixes in ``epsilon`` (and splits its draw into modes U and
-E) and ``Exp3Baseline`` mixes in ``gamma``, both learning through
-``update``; ``NormalizedEG`` mixes in nothing and learns through
-``observe_all``. The fixed policies share ``_FixedPolicy``, which ignores
-all feedback.
+``prob``/``distribution``/``select``, one inverse-CDF scan of ``floor +
+scale * softmax``. The softmax is recomputed where ``theta`` or ``eta``
+changes and nowhere else, so every read finds it current. Each supplies
+only its uniform floor ``mix`` and its update: ``EpsilonExp3`` mixes in
+``epsilon`` (its mode E draw is that scan at floor 0) and ``Exp3Baseline``
+mixes in ``gamma``, both learning through ``update``; ``NormalizedEG``
+mixes in nothing and learns through ``observe_all``. The fixed policies
+share ``_FixedPolicy``, which ignores all feedback.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class _SoftmaxPolicy(NodePolicy):
     Subclasses pass in their mix and supply the feedback method that lowers
     the scores ``_theta``. ``_soft`` is softmax(eta * theta) at all times:
     whatever changes the scores or ``eta`` recomputes it before returning.
-    ``set_params`` writes ``eta`` and ``mix`` and derives floor and scale.
+    ``set_params`` writes ``eta`` and ``mix`` and derives ``select``'s floor and scale.
     """
 
     def __init__(self, n_children: int, eta: float, mix: float) -> None:
@@ -221,9 +221,10 @@ class _SoftmaxPolicy(NodePolicy):
         return self._floor + self._scale * self._soft[child]
 
     def select(self, rng) -> ModeDraw:
-        # inverse CDF of distribution(), its entries made on the fly
-        floor = self._floor
-        scale = self._scale
+        return self._scan(rng, self._floor, self._scale)
+
+    def _scan(self, rng, floor: float, scale: float) -> ModeDraw:
+        # inverse CDF of floor + scale * softmax, its entries made on the fly
         u = rng.random()
         acc = 0.0
         for j, p in enumerate(self._soft):
@@ -262,10 +263,11 @@ class EpsilonExp3(_SoftmaxPolicy):
 
     With probability epsilon the node enters uniform mode U (educating its
     subtree regardless of scores); otherwise exploit mode E samples
-    softmax(eta * theta). The update importance-weights the realized cost by
-    the probability of the (mode, child) event AND the node's own receive
-    probability, which keeps the score estimator unbiased for every child
-    even though the node only sees jobs that reach it.
+    softmax(eta * theta), the learners' scan at floor 0 and scale 1. The
+    update importance-weights the realized cost by the probability of the
+    (mode, child) event AND the node's own receive probability, which keeps
+    the score estimator unbiased for every child even though the node only
+    sees jobs that reach it.
     """
 
     accepts = frozenset({FeedbackModel.END_TO_END_BANDIT})
@@ -282,14 +284,7 @@ class EpsilonExp3(_SoftmaxPolicy):
     def select(self, rng) -> ModeDraw:
         if rng.random() < self.mix:
             return self._uniform_draws[int(rng.random() * self.n_children)]
-        # the softmax's CDF, inline: a shared scan would cost a call per visit
-        u = rng.random()
-        acc = 0.0
-        for j, p in enumerate(self._soft):
-            acc += p
-            if u < acc:
-                return self._draws[j]
-        return self._draws[-1]
+        return self._scan(rng, 0.0, 1.0)
 
     def update(self, draw: ModeDraw, cost: float, receive_prob: float) -> None:
         if not receive_prob > 0.0:  # a NaN fails it too
@@ -306,7 +301,11 @@ class EpsilonExp3(_SoftmaxPolicy):
                 raise NumericalError(
                     f"exploit-mode probability underflowed ({p!r}) for child {draw.child}"
                 )
-            dec = cost / (receive_prob * p)
+            weight = receive_prob * p
+            if weight == 0.0:
+                raise NumericalError(f"receive probability times exploit-mode probability "
+                                     f"underflowed ({receive_prob!r} * {p!r}) for child {draw.child}")
+            dec = cost / weight
         else:
             raise PolicyError(f"unknown mode {draw.mode!r}")
         self._theta[draw.child] -= dec

@@ -277,7 +277,8 @@ def tiny_receive_prob(epsilon):
     # 5e-324 / 2 rounds to 0.0
     (lambda: tiny_receive_prob(5e-324), PolicyError, "receive probability must be positive, got 0.0"),
     # node 2 receives 5e-324, and 5e-324 * 0.5 rounds to 0.0
-    (lambda: tiny_receive_prob(1e-323), ZeroDivisionError, "float division by zero"),
+    (lambda: tiny_receive_prob(1e-323), NumericalError, "receive probability times exploit-mode "
+     "probability underflowed (5e-324 * 0.5) for child 0"),
 ])
 def test_an_update_error_is_the_python_routes(case, error, text):
     sims = []

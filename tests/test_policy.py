@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,14 @@ class TestEpsilonExp3Update:
         pol.theta = [0.0, -800.0]
         with pytest.raises(NumericalError):
             pol.update(ModeDraw("E", 1), cost=1.0, receive_prob=1.0)
+
+    def test_underflowing_importance_weight_raises(self):
+        # 5e-324 * 0.5 rounds to 0.0, so the weight v * p underflows
+        pol = EpsilonExp3(2, eta=1.0, epsilon=0.0)
+        text = "receive probability times exploit-mode probability underflowed (5e-324 * 0.5) for child 1"
+        with pytest.raises(NumericalError, match=f"^{re.escape(text)}$"):
+            pol.update(ModeDraw("E", 1), cost=1.0, receive_prob=5e-324)
+        assert pol.theta == [0.0, 0.0]
 
     def test_theta_never_increases(self):
         rng = np.random.default_rng(8)

@@ -12,16 +12,20 @@ side runs, so a function-level import finds its own side's module. For every
 policy of every named scenario (a bundled scenario, or a config under
 ``perfbench/configs/``) the two sides then run ``run_one`` at horizon T in
 turn, N times, on seeds 0..N-1 and with the first side alternating, all in
-this process (so ``jobs=1``), after one untimed run of each side: a case's
-first run pays the process's first-touch costs, which read as a threefold
-change at ``--reps 1``. Each line gives the best of the N CPU times per
-round on each side, their ratio, whether the two sides' seed rows were equal
-on every seed, and the route each side's engine took: ``compiled`` where its
-``Simulation`` ran the compiled round, else ``python``. A case that REF ran
-compiled and the tree ran on the Python route, even in part, reads ``ROUTE
-LOST``; ``python`` to ``compiled``, as when a new compiled round lands, is
-allowed. The exit code is 1 if any case's rows differ or its route is lost,
-else 0.
+this process (so ``jobs=1``), after two untimed runs of each side, the sides
+alternating. A process's first few runs are slow whichever side makes them:
+with one untimed run per side, an A/A comparison (the same tree on both
+sides) read its first case at 0.78-0.86x at ``--reps 1``, because the first
+timed run was about 20% slower than the runs after it; swapping the timed
+order moved that bias to the other side. With two, that case reads
+0.93-1.06x, as the others do. Each line gives the best of the N CPU times
+per round on each side, their ratio, whether the two sides' seed rows were
+equal on every seed, and the route each side's engine took: ``compiled``
+where its ``Simulation`` ran the compiled round, else ``python``. A case
+that REF ran compiled and the tree ran on the Python route, even in part,
+reads ``ROUTE LOST``; ``python`` to ``compiled``, as when a new compiled
+round lands, is allowed. The exit code is 1 if any case's rows differ or
+its route is lost, else 0.
 
 Separate processes cannot resolve a change of a few percent where a shared
 host's speed drifts between processes by more than that. Alternating in one
@@ -130,9 +134,10 @@ def main(argv: list[str]) -> int:
             for k, (label, _) in enumerate(prepared["tree"]):
                 best = {side: float("inf") for side in sides}
                 rows = {side: [] for side in sides}
-                for side_name, side in sides.items():
+                for side in sides.values():
                     side.routes.clear()
-                    with side.current():  # untimed, so that no timed run is a cold one
+                for side_name in [*sides] * 2:  # untimed, so that no timed run is a cold one
+                    with sides[side_name].current():
                         prepared[side_name][k][1](0)
                 for seed in range(args.reps):
                     order = list(sides) if seed % 2 == 0 else list(sides)[::-1]
